@@ -8,8 +8,8 @@ from .dataset import (DatasetSplit, MultiViewDataset, VectorView, gen_synthetic,
                       ground_truth, load_labels, load_vectors, make_split,
                       save_labels, save_vectors)
 from .fusion import (CandidateGraph, FusedGraph, QsrfParams, QsrfResult, RankScores,
-                     build_candidate_graph, candidate_embedding, candidate_similarity,
-                     closed_form_rank, fuse, qsrf_search, random_walk,
+                     SimilarityFactors, build_candidate_graph, candidate_embedding,
+                     candidate_similarity, closed_form_rank, fuse, qsrf_search, random_walk,
                      transition_and_restart)
 from .hashing import (FAMILIES, HashModel, PackedCodes, encode, encode_one, hamming,
                       hamming_rank, hamming_scan, load_codes, load_model, pack_bits,
@@ -30,8 +30,8 @@ __all__ = [
     "DatasetSplit", "FAMILIES", "FusedGraph", "HashModel", "HashTable",
     "IndependenceMatrix", "Metrics", "MultiViewDataset", "MultiViewIndex",
     "PackedCodes", "QRankResult", "QsrfParams", "QsrfResult", "QueryParams",
-    "RankScores", "VectorView", "average_precision", "brute_force_rank",
-    "build_anchors", "build_candidate_graph", "build_index", "calibrate",
+    "RankScores", "SimilarityFactors", "VectorView", "average_precision",
+    "brute_force_rank", "build_anchors", "build_candidate_graph", "build_index", "calibrate",
     "candidate_embedding", "candidate_similarity", "closed_form_rank", "embed",
     "embed_many", "encode", "encode_one", "fuse", "gen_synthetic", "ground_truth",
     "hamming", "hamming_query", "hamming_rank", "hamming_scan",

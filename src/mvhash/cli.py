@@ -263,6 +263,12 @@ def cmd_query(args) -> int:
                 f"qsrf needs one query file per view: got {len(query_mats)}, "
                 f"index has {index.n_views} views"
             )
+        for m, (mat, table) in enumerate(zip(query_mats, index.tables)):
+            if mat.shape[1] != table.hash_model.dim:
+                raise CliError(
+                    f"queries view {m} ({args.queries[m]}): dim {mat.shape[1]} does not "
+                    f"match view {m} dim {table.hash_model.dim}"
+                )
         n_q = query_mats[0].shape[0]
         if any(mat.shape[0] != n_q for mat in query_mats):
             raise CliError("query files disagree on the number of query rows")

@@ -336,7 +336,7 @@ def test_criterion_08_structural_invariants(fusion_index, capsys):
         indices=np.array([rng.choice(12, 4, replace=False) for _ in range(10)],
                          dtype=np.int32),
         values=vals)
-    s, _ = candidate_similarity(emb, n_anchors=12)
+    s = candidate_similarity(emb, n_anchors=12)[0].tocsr()
     sym_gap = (s - s.T)
     sym_ok = sym_gap.nnz == 0 or float(np.abs(sym_gap.data).max()) == 0.0
 

@@ -330,6 +330,22 @@ def test_errors_exit_one_with_stderr_diagnostics(capsys, tmp_path):
     assert "one query file per view" in err
 
 
+def test_qsrf_query_dimension_mismatch_is_an_error(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle")
+    qfiles = _query_files(data, tmp_path)
+    wide = tmp_path / "wide.mvh"
+    save_vectors(wide, np.zeros((3, 9)))  # the views are 8-dimensional
+    code, out, err = _run(capsys, [
+        "query", "--bundle", str(tmp_path / "bundle"),
+        "--queries", qfiles[0], "--queries", str(wide), "--mode", "qsrf",
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("mvhash: error: queries view 1")
+    assert "dim 9 does not match view 1 dim 8" in err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "mvhash.cli", "--help"],

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvhash import (
+    MultiViewDataset,
     QsrfParams,
     QueryParams,
+    VectorView,
     build_candidate_graph,
     build_index,
     candidate_embedding,
@@ -20,6 +24,7 @@ from mvhash import (
     qsrf_search,
     random_walk,
     transition_and_restart,
+    unpack_bits,
 )
 from mvhash.anchors import SparseEmbedding
 from mvhash.fusion import QUERY_VERTEX, CandidateGraph, FusedGraph
@@ -103,12 +108,43 @@ def test_candidate_embedding_distance_tie_keeps_lower_anchor_id():
     assert z.indices[0, 0] == 0
 
 
+def _argsort_embedding(cand, anchors, w, s_nn):
+    """Reference: the same distances, then a stable full argsort per row."""
+    cb = unpack_bits(cand).astype(np.float64)
+    ab = unpack_bits(anchors).astype(np.float64)
+    d = (cb * w) @ (1.0 - ab).T + ((1.0 - cb) * w) @ ab.T
+    order = np.argsort(d, axis=1, kind="stable")[:, :s_nn]
+    kept = np.take_along_axis(d, order, axis=1)
+    vals = np.maximum(np.exp(-(kept - kept[:, :1]) / w.sum()), 1e-300)
+    return order, vals / vals.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.integers(1, 70), n_anchors=st.integers(1, 40), s_nn_frac=st.floats(0, 1),
+       integer_weights=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_candidate_embedding_matches_stable_argsort(bits, n_anchors, s_nn_frac,
+                                                    integer_weights, seed):
+    # Few bits, many anchors and integer weights force exact distance ties,
+    # also at the s_nn boundary, where the lower anchor id must win.
+    rng = np.random.default_rng(seed)
+    s_nn = 1 + int(s_nn_frac * (n_anchors - 1))
+    anchors = pack_bits(rng.integers(0, 2, size=(n_anchors, bits)).astype(np.uint8))
+    cand = pack_bits(rng.integers(0, 2, size=(15, bits)).astype(np.uint8))
+    w = (rng.integers(1, 4, size=bits).astype(np.float64) if integer_weights
+         else rng.random(bits) + 0.05)
+    z = candidate_embedding(cand.words, anchors, bits=bits, wstar=w, s_nn=s_nn)
+    ref_idx, ref_vals = _argsort_embedding(cand, anchors, w, s_nn)
+    np.testing.assert_array_equal(z.indices, ref_idx)
+    np.testing.assert_array_equal(z.values, ref_vals)
+
+
 def test_candidate_embedding_rejects_s_nn_beyond_anchor_count():
     anchors = pack_bits(np.array([[0, 0]], dtype=np.uint8))
     cand = pack_bits(np.array([[0, 0]], dtype=np.uint8))
-    with pytest.raises(ValueError):
-        candidate_embedding(cand.words, anchors, bits=2,
-                            wstar=np.ones(2), s_nn=2)
+    for s_nn in (0, 2):
+        with pytest.raises(ValueError):
+            candidate_embedding(cand.words, anchors, bits=2,
+                                wstar=np.ones(2), s_nn=s_nn)
 
 
 # --------------------------------------------------------------- similarity
@@ -118,6 +154,7 @@ def test_candidate_similarity_identical_indicator_rows():
     z = SparseEmbedding(indices=np.array([[0], [0]], dtype=np.int32),
                         values=np.array([[1.0], [1.0]]))
     s, isolated = candidate_similarity(z, n_anchors=3)
+    s = s.tocsr()
     assert s[0, 1] == 1.0
     assert s[1, 0] == 1.0
     assert s[0, 0] == 0.0
@@ -128,6 +165,7 @@ def test_candidate_similarity_disjoint_supports_have_no_edges():
     z = SparseEmbedding(indices=np.array([[0], [1]], dtype=np.int32),
                         values=np.array([[1.0], [1.0]]))
     s, isolated = candidate_similarity(z, n_anchors=2)
+    s = s.tocsr()
     assert s.nnz == 0
     assert not isolated.any()
 
@@ -139,7 +177,7 @@ def test_candidate_similarity_is_exactly_symmetric():
     idx = np.array([rng.choice(8, size=3, replace=False) for _ in range(6)],
                    dtype=np.int32)
     z = SparseEmbedding(indices=idx, values=vals)
-    s, _ = candidate_similarity(z, n_anchors=8)
+    s = candidate_similarity(z, n_anchors=8)[0].tocsr()
     diff = (s - s.T)
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
@@ -152,7 +190,7 @@ def test_candidate_similarity_matches_dense_reference():
     idx = np.array([rng.choice(k, size=s_nn, replace=False) for _ in range(n)],
                    dtype=np.int32)
     z = SparseEmbedding(indices=idx, values=vals)
-    s, _ = candidate_similarity(z, n_anchors=k)
+    s = candidate_similarity(z, n_anchors=k)[0].tocsr()
 
     dense_z = np.zeros((n, k))
     for i in range(n):
@@ -162,6 +200,37 @@ def test_candidate_similarity_matches_dense_reference():
     ref = g / lam[:, None] + g / lam[None, :]
     np.fill_diagonal(ref, 0.0)
     np.testing.assert_allclose(s.toarray(), ref, rtol=1e-12, atol=1e-15)
+
+
+def test_candidate_similarity_factors_match_materialised_product():
+    rng = np.random.default_rng(31)
+    n, k, s_nn = 40, 25, 3
+    vals = rng.random((n, s_nn))
+    vals /= vals.sum(axis=1, keepdims=True)
+    idx = np.array([rng.choice(k, size=s_nn, replace=False) for _ in range(n)],
+                   dtype=np.int32)
+    s, _ = candidate_similarity(SparseEmbedding(indices=idx, values=vals), n_anchors=k)
+    y = rng.random(n)
+    np.testing.assert_allclose(s @ y, s.tocsr() @ y, rtol=1e-13)
+    assert s.shape == (n, n)
+
+
+def test_rows_sharing_no_anchor_are_exactly_dangling():
+    # Rows 0 and 3 hold anchors no other row holds: no edges in either graph.
+    z = SparseEmbedding(indices=np.array([[0, 1], [2, 3], [2, 4], [5, 6]], dtype=np.int32),
+                        values=np.array([[0.3, 0.7], [0.6, 0.4], [0.5, 0.5], [0.9, 0.1]]))
+    s, isolated = candidate_similarity(z, n_anchors=7)
+    assert not isolated.any()
+    g1 = CandidateGraph(table_id=0, vertices=[-1, 4, 6, 8], edges=s)
+    g2 = CandidateGraph(table_id=1, vertices=[-1, 6, 8, 9], edges=s)
+    fused = transition_and_restart(fuse([g1, g2]), alpha=0.85)
+    np.testing.assert_array_equal(fused.vertices, [-1, 4, 6, 8, 9])
+    rowsum = np.asarray(fused.omega.sum(axis=1)).ravel()
+    np.testing.assert_array_equal(fused.dangling, rowsum <= 0.0)
+    np.testing.assert_array_equal(fused.dangling, [True, False, False, False, True])
+    np.testing.assert_array_equal(fused.transition.toarray()[0], np.full(5, 0.2))
+    walk = random_walk(fused, tol=1e-13, max_iters=10000)
+    np.testing.assert_allclose(walk.r, closed_form_rank(fused).r, atol=1e-11)
 
 
 def test_build_candidate_graph_puts_query_vertex_first():
@@ -385,6 +454,47 @@ def test_qsrf_search_two_views_structure():
     order = np.lexsort((ids, -scores))
     np.testing.assert_array_equal(res.ids, ids[order])
     np.testing.assert_array_equal(res.scores, scores[order])
+
+
+def test_qsrf_search_ties_identical_candidates_by_ascending_id():
+    # Every item appears three times, so the database holds groups of items
+    # whose codes are identical in every view; with top_n above the database
+    # size all of them are candidates. Each group must score bitwise-equal
+    # and come out in ascending id order.
+    base = gen_synthetic(n_clusters=4, per_cluster=40, n_views=2, dim=16,
+                         noise=0.5, seed=3)
+    rep = np.repeat(np.arange(base.n), 3)
+    ds = MultiViewDataset(views=[VectorView(v.name, v.data[rep]) for v in base.views],
+                          labels=np.asarray(base.labels)[rep])
+    split = make_split(ds.n, n_train=60, n_query=10, seed=3)
+    idx = build_index(ds, split, bits=16, family="lsh", anchors=40, s_nn=3, seed=3)
+    params = QsrfParams(top_n=1000, query=QueryParams(n_landmarks=10))
+    codes = np.hstack([t.codes.words for t in idx.tables])
+    _, group_of = np.unique(codes, axis=0, return_inverse=True)
+    groups = [np.sort(idx.tables[0].db_ids[group_of.ravel() == g])
+              for g in np.unique(group_of)]
+    groups = [g for g in groups if len(g) > 1]
+    assert groups
+    for qid in split.query:
+        res = qsrf_search(idx, [v.data[qid] for v in ds.views], params)
+        rank = {int(i): p for p, i in enumerate(res.ids)}
+        for members in groups:
+            pos = [rank[int(i)] for i in members]
+            assert len(set(res.scores[pos].tolist())) == 1, members
+            assert np.all(np.diff(pos) > 0), members
+
+
+def test_qsrf_search_walks_the_materialised_graph():
+    ds, split, idx = _two_view_index()
+    params = QsrfParams(top_n=60, query=QueryParams(n_landmarks=10))
+    res = qsrf_search(idx, [v.data[split.query[1]] for v in ds.views], params)
+    fused = res.fused
+    y = np.random.default_rng(2).random(len(fused.vertices))
+    np.testing.assert_allclose(fused.rmatvec(y), fused.omega.T @ y, rtol=1e-12)
+    rowsum = np.asarray(fused.omega.sum(axis=1)).ravel()
+    np.testing.assert_array_equal(fused.dangling, rowsum <= 0.0)
+    bound = params.alpha / (1.0 - params.alpha) * params.walk_tol
+    assert np.abs(res.walk.r - closed_form_rank(fused).r).sum() <= bound
 
 
 def test_qsrf_search_rejects_view_count_mismatch():
