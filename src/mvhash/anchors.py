@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .hashing import MAGIC_CODES, HashModel, PackedCodes, encode, words_per_item
+from .hashing import MAGIC_CODES, HashModel, PackedCodes, encode, topk, words_per_item
 
 MAGIC_ANCHORS = b"MVHA"
 
@@ -83,7 +83,7 @@ def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator, iters: int = 25)
         d2 = np.minimum(d2, ((data - centers[c]) ** 2).sum(axis=1))
     assign = None
     for _ in range(iters):
-        dists = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2) if n * k <= 2_000_000 \
+        dists = _blocked_sqdist(data, centers) if n * k <= 2_000_000 \
             else _chunked_sqdist(data, centers)
         new_assign = dists.argmin(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
@@ -96,6 +96,18 @@ def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator, iters: int = 25)
             else:
                 centers[c] = data[rng.integers(n)]
     return centers
+
+
+def _blocked_sqdist(a: np.ndarray, b: np.ndarray, block: int = 256) -> np.ndarray:
+    """Squared distances summed from direct differences, `block` rows of a at a time.
+
+    Equal bit for bit to ((a[:, None] - b[None]) ** 2).sum(axis=2), with a
+    (block, len(b), d) temporary instead of an (len(a), len(b), d) one.
+    """
+    out = np.empty((a.shape[0], b.shape[0]))
+    for lo in range(0, a.shape[0], block):
+        out[lo:lo + block] = ((a[lo:lo + block, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return out
 
 
 def _chunked_sqdist(a: np.ndarray, b: np.ndarray, chunk: int = 2048) -> np.ndarray:
@@ -239,7 +251,7 @@ def query_neighbor_profile(model: AnchorModel, z_q: SparseRow, n_landmarks: int 
     if n_landmarks > model.k:
         raise ValueError(f"L={n_landmarks} exceeds K={model.k}")
     sims = landmark_similarities(model, z_q)
-    top = np.argsort(-sims, kind="stable")[:n_landmarks]
+    top = topk(-sims, n_landmarks)
     weights = sims[top]
     weights = weights / weights.sum()
     return top.astype(np.int64), weights

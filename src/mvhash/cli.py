@@ -234,6 +234,8 @@ def _qsrf_params(cfg: RunConfig, calibrate: bool) -> QsrfParams:
 
 
 def cmd_query(args) -> int:
+    if args.k < 1:
+        raise CliError(f"-k must be >= 1, got {args.k}")
     try:
         index = load_bundle(args.bundle)
     except (OSError, ValueError) as exc:
@@ -293,15 +295,15 @@ def cmd_query(args) -> int:
             )
         for q in query_mats[0]:
             if mode == "hamming":
-                ids, dists = hamming_query(table, q, top_n=max(k, 1))
+                ids, dists = hamming_query(table, q, top_n=k)
                 results.append([
-                    {"id": int(i), "score": int(d)} for i, d in zip(ids[:k], dists[:k])
+                    {"id": int(i), "score": int(d)} for i, d in zip(ids, dists)
                 ])
             elif mode == "qrank":
-                res = qrank_query(table, q, _query_params(cfg, calibrate), top_n=max(k, 1))
+                res = qrank_query(table, q, _query_params(cfg, calibrate), top_n=k)
                 results.append([
                     {"id": int(i), "score": float(d)}
-                    for i, d in zip(res.ids[:k], res.distances[:k])
+                    for i, d in zip(res.ids, res.distances)
                 ])
             else:
                 raise CliError(f"unknown mode {mode!r}")

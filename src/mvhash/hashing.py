@@ -198,13 +198,23 @@ def hamming_scan(codes: PackedCodes, query_words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(x).sum(axis=1).astype(np.int64)
 
 
+def topk(dist: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(dist, kind="stable")[:k] without sorting all of dist.
+
+    np.partition finds the k-th smallest value; every entry at or below it,
+    ties at the boundary included, is kept in ascending index order, and a
+    stable sort of that window gives the order. Needs 1 <= k <= len(dist).
+    """
+    if not 1 <= k <= len(dist):
+        raise ValueError(f"need 1 <= k <= {len(dist)}, got k={k}")
+    kth = np.partition(dist, k - 1)[k - 1]
+    window = np.flatnonzero(dist <= kth)
+    return window[np.argsort(dist[window], kind="stable")[:k]]
+
+
 def hamming_rank(codes: PackedCodes, query_words: np.ndarray, k: int) -> np.ndarray:
     """Top-k item ids by ascending Hamming distance, ties by ascending id."""
-    if k > codes.n:
-        raise ValueError(f"k={k} exceeds n={codes.n}")
-    dist = hamming_scan(codes, query_words)
-    order = np.argsort(dist, kind="stable")
-    return order[:k]
+    return topk(hamming_scan(codes, query_words), k)
 
 
 def save_model(path: Union[str, Path], model: HashModel) -> None:

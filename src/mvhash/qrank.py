@@ -19,12 +19,15 @@ from typing import Optional, Union
 import numpy as np
 
 from .anchors import AnchorModel, embed, query_neighbor_profile
-from .hashing import HashModel, PackedCodes, encode_one, hamming_scan, unpack_bits
+from .hashing import HashModel, PackedCodes, encode_one, hamming_scan, topk, unpack_bits
 
 MAGIC_INDEP = b"MVHI"
 
 MI_SMOOTHING = 0.25
 WEIGHT_FLOOR = 1e-12
+
+# bit b of byte value v, little-endian within the byte: (256, 8) of 0/1
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
 
 
 @dataclass
@@ -275,11 +278,68 @@ def weighted_hamming_scan(
     return out
 
 
+def _screen_delta(wstar: np.ndarray, bits: int) -> float:
+    """Bound on |screened - canonical| weighted distance used by weighted_topk."""
+    return 2.0 * bits * float(np.finfo(np.float64).eps) * float(np.sum(wstar))
+
+
+def weighted_topk(
+    codes: PackedCodes, query_words: np.ndarray, wstar: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k local ids by weighted Hamming distance and their distances.
+
+    Equal, ties included, to the first k entries of a stable argsort of
+    weighted_hamming_scan, at the cost of a byte-table screen plus an exact
+    scan of a small window.
+
+    Screen: byte tables T[j][v] (ceil(B/8) x 256) hold the summed w* of the
+    bits set in byte value v of byte j; padding bits weigh 0. The approximate
+    distance A of an item is the sum of T[j][x_j] over the bytes x_j of
+    (item XOR query). A and the canonical ascending-bit distance E sum the same
+    at most B nonnegative terms in different orders, so each lies within
+    gamma_{B-1} * sum(w*) of the exact real sum (gamma_m = m u / (1 - m u),
+    u = eps/2, for any summation order), and |A - E| <= 2 gamma_{B-1} sum(w*)
+    <= delta = 2 B eps sum(w*) with a 2x margin that also absorbs the
+    rounding of delta itself.
+
+    Window: let A_(k), E_(k) be the k-th smallest A and E. The k items with
+    the smallest A all have E <= A_(k) + delta, so E_(k) <= A_(k) + delta, and
+    any item with E <= E_(k) has A <= E + delta <= A_(k) + 2 delta. Rounding is
+    monotone, so the float comparison A <= fl(A_(k) + 2 delta) keeps them all.
+    The window, in ascending id order, therefore holds every item of the
+    stable top-k; weighted_hamming_scan gives its exact distances, and a
+    stable top-k of the window is the answer. Needs 1 <= k <= codes.n.
+    """
+    if not 1 <= k <= codes.n:
+        raise ValueError(f"need 1 <= k <= {codes.n}, got k={k}")
+    wstar = np.asarray(wstar, dtype=np.float64)
+    nbytes = (codes.bits + 7) // 8
+    w = np.zeros(nbytes * 8)
+    w[: codes.bits] = wstar
+    w = w.reshape(nbytes, 8)
+    tables = np.zeros((nbytes, 256))
+    for b in range(8):
+        tables += _BYTE_BITS[:, b] * w[:, b:b + 1]
+    q = np.asarray(query_words, dtype=np.uint64)
+    x = (codes.words ^ q).view(np.uint8)
+    approx = np.take(tables[0], x[:, 0])
+    for j in range(1, nbytes):
+        approx += np.take(tables[j], x[:, j])
+    kth = np.partition(approx, k - 1)[k - 1]
+    window = np.flatnonzero(approx <= kth + 2.0 * _screen_delta(wstar, codes.bits))
+    exact = weighted_hamming_scan(PackedCodes(codes.words[window], codes.bits), q, wstar)
+    order = topk(exact, k)
+    return window[order], exact[order]
+
+
 def weighted_rank(codes: PackedCodes, query_words: np.ndarray, wstar: np.ndarray, k: int) -> np.ndarray:
     """Top-k ids by ascending weighted Hamming distance, ties by ascending id."""
-    dist = weighted_hamming_scan(codes, query_words, wstar)
-    order = np.argsort(dist, kind="stable")
-    return order[:k]
+    return weighted_topk(codes, query_words, wstar, k)[0]
+
+
+def _check_top_n(top_n: int) -> None:
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
 
 
 def qrank_query(
@@ -295,6 +355,7 @@ def qrank_query(
     raw weights are used as-is, which with gamma=0 reduces exactly to plain
     Hamming ranking.
     """
+    _check_top_n(top_n)
     w = raw_weights(table.hash_model, table.anchor_model, query,
                     gamma=params.gamma, n_landmarks=params.n_landmarks)
     if params.calibrate:
@@ -306,13 +367,11 @@ def qrank_query(
         wstar = w
     weights = BitWeights(raw=w, pi=pi, calibrated=wstar, gamma=params.gamma)
     query_words = encode_one(table.hash_model, np.asarray(query, np.float64))
-    k = min(top_n, table.codes.n)
-    dist = weighted_hamming_scan(table.codes, query_words, wstar)
-    order = np.argsort(dist, kind="stable")[:k]
+    order, dist = weighted_topk(table.codes, query_words, wstar, min(top_n, table.codes.n))
     return QRankResult(
         ids=table.db_ids[order],
         local_ids=order,
-        distances=dist[order],
+        distances=dist,
         weights=weights,
         query_words=query_words,
     )
@@ -320,9 +379,10 @@ def qrank_query(
 
 def hamming_query(table: HashTable, query: np.ndarray, top_n: int = 1000):
     """Plain Hamming baseline over the same table; returns (global ids, distances)."""
+    _check_top_n(top_n)
     query_words = encode_one(table.hash_model, np.asarray(query, np.float64))
     dist = hamming_scan(table.codes, query_words)
-    order = np.argsort(dist, kind="stable")[: min(top_n, table.codes.n)]
+    order = topk(dist, min(top_n, table.codes.n))
     return table.db_ids[order], dist[order]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mvhash.anchors import (AnchorModel, build_anchors, embed, embed_many,
+from mvhash.anchors import (AnchorModel, _blocked_sqdist, build_anchors, embed, embed_many,
                             load_anchor_model, query_neighbor_profile,
                             save_anchor_model, similarity)
 from mvhash.hashing import train
@@ -210,3 +210,13 @@ def test_build_deterministic():
     np.testing.assert_array_equal(m1.anchors, m2.anchors)
     assert m1.kernel_bandwidth == m2.kernel_bandwidth
     assert m1.sigma == m2.sigma
+
+
+def test_blocked_sqdist_matches_unblocked_bitwise():
+    rng = np.random.default_rng(4)
+    for d in (3, 13, 64):
+        a = rng.normal(size=(700, d))
+        b = rng.normal(size=(37, d))
+        ref = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        for block in (1, 7, 256, 700, 1000):
+            assert _blocked_sqdist(a, b, block).tobytes() == ref.tobytes()

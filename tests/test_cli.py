@@ -346,6 +346,21 @@ def test_qsrf_query_dimension_mismatch_is_an_error(capsys, tmp_path):
     assert "dim 9 does not match view 1 dim 8" in err
 
 
+def test_query_k_below_one_is_an_error(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle")
+    qfiles = _query_files(data, tmp_path)
+    for k in ("0", "-3"):
+        for mode, files in (("hamming", qfiles[:1]), ("qrank", qfiles[:1]), ("qsrf", qfiles)):
+            argv = ["query", "--bundle", str(tmp_path / "bundle"), "--mode", mode, "-k", k]
+            for f in files:
+                argv += ["--queries", f]
+            code, out, err = _run(capsys, argv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"mvhash: error: -k must be >= 1, got {k}")
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "mvhash.cli", "--help"],

@@ -1,18 +1,24 @@
 """Bitwise mutual information, independence matrix, raw weights, replicator
 calibration, weighted Hamming ranking."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mvhash.qrank as qrank_module
 from mvhash.anchors import build_anchors
 from mvhash.dataset import gen_synthetic, make_split
-from mvhash.hashing import encode_one, pack_bits, train
+from mvhash.fusion import QsrfParams, qsrf_search
+from mvhash.hashing import HashModel, encode_one, hamming_scan, pack_bits, train
 from mvhash.index import build_index
 from mvhash.metrics import brute_force_rank
-from mvhash.qrank import (QueryParams, calibrate, hamming_query,
+from mvhash.qrank import (HashTable, QueryParams, calibrate, hamming_query,
                           independence_matrix, mutual_information,
                           pairwise_mutual_information, qrank_query, raw_weights,
-                          weighted_hamming, weighted_hamming_scan, weighted_rank)
+                          weighted_hamming, weighted_hamming_scan, weighted_rank,
+                          weighted_topk)
 
 
 def _codes_from_columns(*cols):
@@ -316,3 +322,94 @@ def test_qrank_top_n_clamped_to_database():
     assert len(res.ids) == idx.tables[0].codes.n
     np.testing.assert_array_equal(np.sort(res.local_ids),
                                   np.arange(idx.tables[0].codes.n))
+
+
+def test_top_n_below_one_is_rejected():
+    ds, split, idx = _small_table(seed=14, n_views=2)
+    table = idx.tables[0]
+    views = [v.data[split.query[0]] for v in ds.views]
+    for top_n in (0, -1):
+        with pytest.raises(ValueError, match="top_n"):
+            hamming_query(table, views[0], top_n=top_n)
+        with pytest.raises(ValueError, match="top_n"):
+            qrank_query(table, views[0], QueryParams(), top_n=top_n)
+        with pytest.raises(ValueError, match="top_n"):
+            qsrf_search(idx, views, QsrfParams(top_n=top_n))
+
+
+def _identity_table(bits01: np.ndarray) -> HashTable:
+    """A table whose hash model maps x to the bits of x >= 0, so the query
+    vector 2 * bits - 1 encodes to exactly those bits. Weights come from the
+    caller (raw_weights is patched), so no anchors or independence are needed."""
+    n, b = bits01.shape
+    model = HashModel(family="lsh", mean=np.zeros(b), projection=np.eye(b), rotation=np.eye(b))
+    return HashTable(name="t", hash_model=model, codes=pack_bits(bits01),
+                     db_ids=3 * np.arange(n, dtype=np.int64) + 7,
+                     anchor_model=None, independence=None)
+
+
+@st.composite
+def _ranking_cases(draw):
+    """Codes drawn from a pool of at most 4 distinct rows, so many duplicates
+    share the k-th distance, and w* spanning 1e-12..1e3. Random draws rarely
+    round a screened distance across the k-th one; the margin test below
+    builds that case by hand."""
+    bits = draw(st.sampled_from([1, 63, 64, 65, 128]))
+    n = draw(st.integers(2, 120))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pool = rng.random((draw(st.integers(1, 4)), bits)) < 0.5
+    rows = pool[rng.integers(0, len(pool), n)].astype(np.uint8)
+    query = pool[0] if draw(st.booleans()) else rng.random(bits) < 0.5
+    weight = st.sampled_from([1e-12, 1.0, 1e3]) | st.floats(1e-12, 1e3)
+    wstar = np.array(draw(st.lists(weight, min_size=bits, max_size=bits)))
+    top_n = draw(st.sampled_from([1, n - 1, n, n + 5]))
+    return rows, query.astype(np.float64), wstar, top_n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ranking_cases())
+def test_topk_paths_match_oracle_and_full_stable_argsort(case):
+    rows, query_bits, wstar, top_n = case
+    table = _identity_table(rows)
+    query = 2.0 * query_bits - 1.0
+    k = min(top_n, len(rows))
+
+    with mock.patch("mvhash.qrank.raw_weights", return_value=wstar):
+        res = qrank_query(table, query, QueryParams(calibrate=False), top_n=top_n)
+    full = weighted_hamming_scan(table.codes, res.query_words, wstar)
+    oracle = brute_force_rank(table.codes, res.query_words, "weighted_hamming", k,
+                              weights=wstar)
+    np.testing.assert_array_equal(oracle, np.argsort(full, kind="stable")[:k])
+    np.testing.assert_array_equal(res.local_ids, oracle)
+    np.testing.assert_array_equal(res.ids, table.db_ids[oracle])
+    assert res.distances.tobytes() == full[oracle].tobytes()
+
+    ids, dists = hamming_query(table, query, top_n=top_n)
+    hfull = hamming_scan(table.codes, res.query_words)
+    horacle = brute_force_rank(table.codes, res.query_words, "hamming", k)
+    np.testing.assert_array_equal(horacle, np.argsort(hfull, kind="stable")[:k])
+    np.testing.assert_array_equal(ids, table.db_ids[horacle])
+    np.testing.assert_array_equal(dists, hfull[horacle])
+
+
+def test_weighted_topk_window_margin_is_needed(monkeypatch):
+    # Items 0 and 1 both have the canonical distance 1.0: for item 0,
+    # 1 + 2**-53 rounds back to 1, twice. The byte tables first add bits 8
+    # and 9 to 2**-52, so item 0 screens at 1 + 2**-52 while item 1 screens
+    # at 1. Only the 2 * delta margin keeps item 0, the stable top-1, in the
+    # window.
+    w = np.ones(16)
+    w[8] = w[9] = 2.0 ** -53
+    bits = np.zeros((2, 16), dtype=np.uint8)
+    bits[:, 0] = 1
+    bits[0, [8, 9]] = 1
+    codes = pack_bits(bits)
+    q = np.zeros(1, dtype=np.uint64)
+    np.testing.assert_array_equal(weighted_hamming_scan(codes, q, w), [1.0, 1.0])
+    order, dist = weighted_topk(codes, q, w, 1)
+    assert order.tolist() == [0] and dist.tolist() == [1.0]
+
+    monkeypatch.setattr(qrank_module, "_screen_delta", lambda wstar, bits: 0.0)
+    order, _ = weighted_topk(codes, q, w, 1)
+    assert order.tolist() == [1]
