@@ -14,7 +14,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .hashing import MAGIC_CODES, HashModel, PackedCodes, encode, topk, words_per_item
+from .binfile import BinaryReader
+from .hashing import HashModel, PackedCodes, encode, topk, words_per_item
 
 MAGIC_ANCHORS = b"MVHA"
 
@@ -274,29 +275,11 @@ def save_anchor_model(path: Union[str, Path], model: AnchorModel) -> None:
 
 
 def load_anchor_model(path: Union[str, Path]) -> AnchorModel:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC_ANCHORS:
-        raise ValueError(f"{path}: bad anchor magic")
-    ver, k, dim, s_nn, bandwidth, sigma = struct.unpack("<IIIIdd", raw[4:36])
-    if ver != 1:
-        raise ValueError(f"{path}: unsupported anchors version {ver}")
-    off = 36
-    anchors = np.frombuffer(raw, dtype="<f8", count=k * dim, offset=off).reshape(k, dim).copy()
-    off += 8 * k * dim
-    (bits,) = struct.unpack("<I", raw[off:off + 4])
-    off += 4
-    w = words_per_item(bits)
-    words = np.frombuffer(raw, dtype="<u8", count=k * w, offset=off).reshape(k, w)
-    off += 8 * k * w
-    idx = np.frombuffer(raw, dtype="<i4", count=k * s_nn, offset=off).reshape(k, s_nn)
-    off += 4 * k * s_nn
-    vals = np.frombuffer(raw, dtype="<f8", count=k * s_nn, offset=off).reshape(k, s_nn)
-    emb = SparseEmbedding(indices=idx.copy(), values=vals.copy())
-    return AnchorModel(
-        anchors=anchors,
-        kernel_bandwidth=bandwidth,
-        s_nn=s_nn,
-        sigma=sigma,
-        landmark_embeddings=emb,
-        anchor_codes=PackedCodes(words=words.copy(), bits=bits),
-    )
+    rd = BinaryReader(path, MAGIC_ANCHORS, "anchors")
+    k, dim, s_nn, bandwidth, sigma = rd.header("<IIIdd")
+    anchors = rd.array("<f8", k, dim)
+    (bits,) = rd.header("<I")
+    codes = PackedCodes(words=rd.array("<u8", k, words_per_item(bits)), bits=bits)
+    emb = SparseEmbedding(indices=rd.array("<i4", k, s_nn), values=rd.array("<f8", k, s_nn))
+    return rd.done(AnchorModel(anchors=anchors, kernel_bandwidth=bandwidth, s_nn=s_nn,
+                               sigma=sigma, landmark_embeddings=emb, anchor_codes=codes))

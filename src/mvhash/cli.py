@@ -20,7 +20,7 @@ from .dataset import (MultiViewDataset, VectorView, gen_synthetic, ground_truth,
 from .fusion import QsrfParams, qsrf_search
 from .hashing import FAMILIES
 from .index import build_index, load_bundle, save_bundle
-from .metrics import ranking_metrics
+from .metrics import pr_curve, ranking_metrics
 from .qrank import QueryParams, hamming_query, qrank_query
 
 DEFAULT_BITS = 48
@@ -403,15 +403,11 @@ def cmd_eval(args) -> int:
                 m = ranking_metrics(ranked, gt[q], ks, depth)
                 for name, val in m.items():
                     acc.setdefault(name, []).append(val)
-                curve_len = min(depth, len(ranked))
-                rel = np.asarray(gt[q])
-                hits = np.isin(ranked[:curve_len], rel)
-                cum = np.cumsum(hits)
-                pr = np.stack([cum / len(rel), cum / np.arange(1, curve_len + 1)])
+                pr = np.asarray(pr_curve(ranked, gt[q])).T  # ranked holds at most depth ids
                 if mode not in pr_sums:
-                    pr_sums[mode] = np.zeros((2, curve_len))
+                    pr_sums[mode] = np.zeros(pr.shape)
                     pr_counts[mode] = 0
-                width = min(pr_sums[mode].shape[1], curve_len)
+                width = min(pr_sums[mode].shape[1], pr.shape[1])
                 pr_sums[mode][:, :width] += pr[:, :width]
                 pr_counts[mode] += 1
             for name, vals in acc.items():

@@ -14,6 +14,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .binfile import BinaryReader
+
 MAGIC_VECTORS = b"MVH1"
 
 
@@ -105,17 +107,9 @@ def save_vectors(path: Union[str, Path], data: np.ndarray) -> None:
 
 
 def _load_vectors_binary(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
-    if len(raw) < 12:
-        raise ValueError(f"{path}: truncated header")
-    if raw[:4] != MAGIC_VECTORS:
-        raise ValueError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC_VECTORS!r}")
-    n, d = struct.unpack("<II", raw[4:12])
-    expect = 12 + 4 * n * d
-    if len(raw) != expect:
-        raise ValueError(f"{path}: payload is {len(raw)} bytes, header implies {expect}")
-    data = np.frombuffer(raw, dtype="<f4", offset=12).reshape(n, d)
-    return data.astype(np.float64)
+    rd = BinaryReader(path, MAGIC_VECTORS, "vectors", version=None)
+    n, d = rd.header("<II")
+    return rd.done(rd.array("<f4", n, d).astype(np.float64))
 
 
 def _load_vectors_csv(path: Path) -> np.ndarray:

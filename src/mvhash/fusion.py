@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .anchors import SparseEmbedding
-from .hashing import PackedCodes
+from .hashing import PackedCodes, unpack_bits
 from .qrank import HashTable, QueryParams, QRankResult, qrank_query
 
 QUERY_VERTEX = -1
@@ -202,24 +202,22 @@ def candidate_embedding(
     bits: int,
     wstar: np.ndarray,
     s_nn: int,
-    sigma_h: Optional[float] = None,
 ) -> SparseEmbedding:
     """Truncated anchor similarities of candidates under weighted Hamming distance.
 
     Every candidate row (the query included) keeps its s_nn nearest anchors by
     weighted Hamming distance; kept entries are exp(-d_H / sigma_h) normalized
-    to sum 1. sigma_h defaults to sum(w*), the largest attainable weighted
-    distance. Ties on distance keep the lower anchor id.
+    to sum 1. sigma_h is sum(w*), the largest attainable weighted distance
+    (1 when that is 0). Ties on distance keep the lower anchor id.
     """
     wstar = np.asarray(wstar, dtype=np.float64)
-    if sigma_h is None:
-        sigma_h = float(wstar.sum())
+    sigma_h = float(wstar.sum())
     if sigma_h <= 0:
         sigma_h = 1.0
     if not 1 <= s_nn <= anchor_codes.n:
         raise ValueError(f"need 1 <= s_nn <= anchor count {anchor_codes.n}, got s_nn={s_nn}")
-    cand_bits = _unpack_words(np.asarray(candidate_words, np.uint64), bits)
-    anch_bits = _unpack_words(anchor_codes.words, bits)
+    cand_bits = unpack_bits(PackedCodes(candidate_words, bits)).astype(np.float64)
+    anch_bits = unpack_bits(PackedCodes(anchor_codes.words, bits)).astype(np.float64)
     # d_ij = sum_k w_k (c_ik xor a_jk) expands into two weighted matmuls
     cw = cand_bits * wstar
     ncw = (1.0 - cand_bits) * wstar
@@ -238,12 +236,6 @@ def candidate_embedding(
     np.maximum(vals, 1e-300, out=vals)
     vals /= vals.sum(axis=1, keepdims=True)
     return SparseEmbedding(indices=indices.astype(np.int32), values=vals)
-
-
-def _unpack_words(words: np.ndarray, bits: int) -> np.ndarray:
-    n = words.shape[0]
-    as_bytes = np.ascontiguousarray(words).view(np.uint8).reshape(n, -1)
-    return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :bits].astype(np.float64)
 
 
 def candidate_similarity(z: SparseEmbedding, n_anchors: int):

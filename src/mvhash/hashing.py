@@ -15,6 +15,8 @@ from typing import Union
 
 import numpy as np
 
+from .binfile import BinaryReader
+
 FAMILIES = ("lsh", "pcah", "itq")
 
 MAGIC_MODEL = b"MVHM"
@@ -186,12 +188,6 @@ def encode_one(model: HashModel, x: np.ndarray) -> np.ndarray:
     return encode(model, x[None, :]).words[0]
 
 
-def hamming(codes: PackedCodes, i: int, j: int) -> int:
-    """Hamming distance between items i and j: popcount of the XOR'd words."""
-    x = codes.words[i] ^ codes.words[j]
-    return int(np.bitwise_count(x).sum())
-
-
 def hamming_scan(codes: PackedCodes, query_words: np.ndarray) -> np.ndarray:
     """Hamming distance from the query code to every item, as an int array."""
     x = codes.words ^ np.asarray(query_words, dtype=np.uint64)
@@ -212,11 +208,6 @@ def topk(dist: np.ndarray, k: int) -> np.ndarray:
     return window[np.argsort(dist[window], kind="stable")[:k]]
 
 
-def hamming_rank(codes: PackedCodes, query_words: np.ndarray, k: int) -> np.ndarray:
-    """Top-k item ids by ascending Hamming distance, ties by ascending id."""
-    return topk(hamming_scan(codes, query_words), k)
-
-
 def save_model(path: Union[str, Path], model: HashModel) -> None:
     """Versioned binary blob: family tag, dims, then mean/projection/rotation as <f8."""
     fam = FAMILIES.index(model.family)
@@ -229,19 +220,13 @@ def save_model(path: Union[str, Path], model: HashModel) -> None:
 
 
 def load_model(path: Union[str, Path]) -> HashModel:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC_MODEL:
-        raise ValueError(f"{path}: bad model magic")
-    ver, fam, bits, dim = struct.unpack("<IBII", raw[4:17])
-    if ver != 1:
-        raise ValueError(f"{path}: unsupported model version {ver}")
-    off = 17
-    mean = np.frombuffer(raw, dtype="<f8", count=dim, offset=off).copy()
-    off += 8 * dim
-    projection = np.frombuffer(raw, dtype="<f8", count=bits * dim, offset=off).reshape(bits, dim).copy()
-    off += 8 * bits * dim
-    rotation = np.frombuffer(raw, dtype="<f8", count=bits * bits, offset=off).reshape(bits, bits).copy()
-    return HashModel(family=FAMILIES[fam], mean=mean, projection=projection, rotation=rotation)
+    rd = BinaryReader(path, MAGIC_MODEL, "model")
+    fam, bits, dim = rd.header("<BII")
+    if fam >= len(FAMILIES):
+        raise ValueError(f"{path}: unknown family tag {fam}")
+    return rd.done(HashModel(family=FAMILIES[fam], mean=rd.array("<f8", dim),
+                             projection=rd.array("<f8", bits, dim),
+                             rotation=rd.array("<f8", bits, bits)))
 
 
 def save_codes(path: Union[str, Path], codes: PackedCodes) -> None:
@@ -253,11 +238,6 @@ def save_codes(path: Union[str, Path], codes: PackedCodes) -> None:
 
 
 def load_codes(path: Union[str, Path]) -> PackedCodes:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC_CODES:
-        raise ValueError(f"{path}: bad codes magic")
-    ver, n, bits = struct.unpack("<III", raw[4:16])
-    if ver != 1:
-        raise ValueError(f"{path}: unsupported codes version {ver}")
-    words = np.frombuffer(raw, dtype="<u8", offset=16).reshape(n, words_per_item(bits))
-    return PackedCodes(words=words.copy(), bits=bits)
+    rd = BinaryReader(path, MAGIC_CODES, "codes")
+    n, bits = rd.header("<II")
+    return rd.done(PackedCodes(words=rd.array("<u8", n, words_per_item(bits)), bits=bits))

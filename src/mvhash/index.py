@@ -18,6 +18,7 @@ from typing import Union
 import numpy as np
 
 from .anchors import build_anchors, load_anchor_model, save_anchor_model
+from .binfile import BinaryReader
 from .dataset import DatasetSplit, MultiViewDataset
 from .hashing import encode, load_codes, load_model, save_codes, save_model, train
 from .qrank import HashTable, independence_matrix, load_independence, save_independence
@@ -26,6 +27,7 @@ MAGIC_SPLIT = b"MVHS"
 MANIFEST_NAME = "manifest.json"
 BUNDLE_FORMAT = "mvhash-bundle"
 BUNDLE_VERSION = 1
+MANIFEST_KEYS = ("files", "views", "split", "bits", "family", "seed")
 
 
 @dataclass
@@ -96,18 +98,9 @@ def save_split(path: Union[str, Path], split: DatasetSplit) -> None:
 
 
 def load_split(path: Union[str, Path]) -> DatasetSplit:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC_SPLIT:
-        raise ValueError(f"{path}: bad split magic")
-    ver, nt, nq, nd = struct.unpack("<IIII", raw[4:20])
-    if ver != 1:
-        raise ValueError(f"{path}: unsupported split version {ver}")
-    off = 20
-    out = []
-    for count in (nt, nq, nd):
-        out.append(np.frombuffer(raw, dtype="<u4", count=count, offset=off).astype(np.int64))
-        off += 4 * count
-    return DatasetSplit(train=out[0], query=out[1], database=out[2])
+    rd = BinaryReader(path, MAGIC_SPLIT, "split")
+    train, query, database = (rd.array("<u4", n).astype(np.int64) for n in rd.header("<III"))
+    return rd.done(DatasetSplit(train=train, query=query, database=database))
 
 
 def _sha256(path: Path) -> str:
@@ -166,11 +159,21 @@ def load_bundle(bundle_dir: Union[str, Path], verify: bool = True) -> MultiViewI
     if not manifest_path.is_file():
         raise ValueError(f"{bundle_dir}: no {MANIFEST_NAME}")
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: not a JSON object")
     if manifest.get("format") != BUNDLE_FORMAT:
         raise ValueError(f"{bundle_dir}: not a {BUNDLE_FORMAT} bundle")
     if manifest.get("version") != BUNDLE_VERSION:
         raise ValueError(f"{bundle_dir}: unsupported bundle version {manifest.get('version')}")
+    missing = [key for key in MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise ValueError(f"{manifest_path}: missing {', '.join(missing)}")
     if verify:
+        loaded = [manifest["split"]]
+        loaded += [name for view in manifest["views"] for name in view["files"].values()]
+        unhashed = sorted(set(loaded) - set(manifest["files"]))
+        if unhashed:
+            raise ValueError(f"{manifest_path}: no content hash for {', '.join(unhashed)}")
         for name, digest in manifest["files"].items():
             actual = _sha256(bundle_dir / name)
             if actual != digest:

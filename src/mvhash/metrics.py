@@ -7,22 +7,9 @@ relevant sets must be excluded by the caller; helpers here raise on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .hashing import PackedCodes, unpack_bits
-
-
-@dataclass
-class Metrics:
-    """Aggregate metric values for one mode."""
-
-    precision_at: dict = field(default_factory=dict)
-    recall_at: dict = field(default_factory=dict)
-    ap_at: dict = field(default_factory=dict)
-    map_score: float = 0.0
-    pr_curve: list = field(default_factory=list)
 
 
 def _check(relevant, k=1):
@@ -127,10 +114,8 @@ def brute_force_rank(subject, query, metric: str, k: int, weights=None) -> np.nd
         if not isinstance(subject, PackedCodes):
             raise ValueError("hamming oracles need PackedCodes")
         bits = unpack_bits(subject)
-        qbits = np.unpackbits(
-            np.asarray(query, dtype=np.uint64).reshape(1, -1).view(np.uint8),
-            axis=1, bitorder="little",
-        )[0, : subject.bits]
+        qwords = np.asarray(query, dtype=np.uint64).reshape(1, -1)
+        qbits = unpack_bits(PackedCodes(qwords, subject.bits))[0]
         neq = bits != qbits
         if metric == "hamming":
             dist = neq.sum(axis=1).astype(np.int64)

@@ -19,7 +19,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .anchors import AnchorModel, embed, query_neighbor_profile
-from .hashing import HashModel, PackedCodes, encode_one, hamming_scan, topk, unpack_bits
+from .binfile import BinaryReader
+from .hashing import HashModel, PackedCodes, encode, encode_one, hamming_scan, topk, unpack_bits
 
 MAGIC_INDEP = b"MVHI"
 
@@ -27,7 +28,7 @@ MI_SMOOTHING = 0.25
 WEIGHT_FLOOR = 1e-12
 
 # bit b of byte value v, little-endian within the byte: (256, 8) of 0/1
-_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+_BYTE_BITS = unpack_bits(PackedCodes(np.arange(256, dtype=np.uint64)[:, None], 8))
 
 
 @dataclass
@@ -171,18 +172,12 @@ def raw_weights(
         raise ValueError("anchor model has no codes; attach the view's hash model first")
     z_q = embed(anchor_model, query)
     landmark_ids, profile = query_neighbor_profile(anchor_model, z_q, n_landmarks)
-    q_bits = unpack_bits_row(encode_one(hash_model, np.asarray(query, np.float64)), hash_model.bits)
+    q_bits = unpack_bits(encode(hash_model, query))[0]
     a_bits = unpack_bits(anchor_model.anchor_codes)[landmark_ids]
-    q_pm = 2.0 * q_bits - 1.0
+    q_pm = 2.0 * q_bits.astype(np.float64) - 1.0
     a_pm = 2.0 * a_bits.astype(np.float64) - 1.0
     agreement = q_pm * (profile @ a_pm)
     return np.exp(gamma * agreement)
-
-
-def unpack_bits_row(words: np.ndarray, bits: int) -> np.ndarray:
-    """Unpack one word row into its first `bits` 0/1 values as float64."""
-    as_bytes = np.asarray(words, dtype=np.uint64).reshape(1, -1).view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, bitorder="little")[0, :bits].astype(np.float64)
 
 
 def calibrate(
@@ -237,44 +232,23 @@ def calibrate(
                              iterations=iters, converged=converged, iterates=iterates)
 
 
-def weighted_hamming(codes: PackedCodes, i: int, query_words: np.ndarray, wstar: np.ndarray) -> float:
-    """Weighted Hamming distance of item i to the query: sum of w* over set XOR bits.
-
-    Accumulated left to right in ascending bit order. That order is the
-    distance's canonical semantics: float addition is not associative, and
-    rankings must not depend on which code path produced the distance.
-    """
-    x = codes.words[i] ^ np.asarray(query_words, dtype=np.uint64)
-    diff = unpack_bits_row(x, codes.bits)
-    w = np.asarray(wstar, dtype=np.float64)
-    total = 0.0
-    for pos in np.flatnonzero(diff):
-        total += float(w[pos])
-    return total
-
-
 def weighted_hamming_scan(
-    codes: PackedCodes, query_words: np.ndarray, wstar: np.ndarray, chunk: int = 8192
+    codes: PackedCodes, query_words: np.ndarray, wstar: np.ndarray
 ) -> np.ndarray:
-    """Weighted Hamming distance from the query to every item.
+    """Weighted Hamming distance from the query to every item: sum of w* over set XOR bits.
 
-    Each distance is accumulated in ascending bit order (the canonical
-    semantics of weighted_hamming); skipped bits contribute an exact +0.0,
-    so the vectorized column accumulation matches the per-item definition
-    bit for bit.
+    Each distance is accumulated left to right in ascending bit order. That
+    order is the distance's canonical semantics: float addition is not
+    associative, and rankings must not depend on which code path produced
+    the distance. Skipped bits contribute an exact +0.0, so the column
+    accumulation equals a per-item loop over the set bits bit for bit.
     """
     wstar = np.asarray(wstar, dtype=np.float64)
-    q = np.asarray(query_words, dtype=np.uint64)
-    out = np.empty(codes.n)
-    for lo in range(0, codes.n, chunk):
-        hi = min(lo + chunk, codes.n)
-        x = codes.words[lo:hi] ^ q
-        bits = np.unpackbits(x.view(np.uint8).reshape(hi - lo, -1), axis=1,
-                             bitorder="little")[:, : codes.bits]
-        acc = np.zeros(hi - lo)
-        for pos in range(codes.bits):
-            acc += np.where(bits[:, pos] != 0, wstar[pos], 0.0)
-        out[lo:hi] = acc
+    x = PackedCodes(codes.words ^ np.asarray(query_words, dtype=np.uint64), codes.bits)
+    bits = np.ascontiguousarray(unpack_bits(x).T)  # one row per bit: each pass reads in order
+    out = np.zeros(codes.n)
+    for pos in range(codes.bits):
+        out += np.where(bits[pos] != 0, wstar[pos], 0.0)
     return out
 
 
@@ -330,11 +304,6 @@ def weighted_topk(
     exact = weighted_hamming_scan(PackedCodes(codes.words[window], codes.bits), q, wstar)
     order = topk(exact, k)
     return window[order], exact[order]
-
-
-def weighted_rank(codes: PackedCodes, query_words: np.ndarray, wstar: np.ndarray, k: int) -> np.ndarray:
-    """Top-k ids by ascending weighted Hamming distance, ties by ascending id."""
-    return weighted_topk(codes, query_words, wstar, k)[0]
 
 
 def _check_top_n(top_n: int) -> None:
@@ -395,11 +364,6 @@ def save_independence(path: Union[str, Path], indep: IndependenceMatrix) -> None
 
 
 def load_independence(path: Union[str, Path]) -> IndependenceMatrix:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC_INDEP:
-        raise ValueError(f"{path}: bad independence magic")
-    ver, b, lam = struct.unpack("<IId", raw[4:20])
-    if ver != 1:
-        raise ValueError(f"{path}: unsupported independence version {ver}")
-    a = np.frombuffer(raw, dtype="<f8", offset=20).reshape(b, b)
-    return IndependenceMatrix(a=a.copy(), lam=lam)
+    rd = BinaryReader(path, MAGIC_INDEP, "independence")
+    b, lam = rd.header("<Id")
+    return rd.done(IndependenceMatrix(a=rd.array("<f8", b, b), lam=lam))

@@ -45,7 +45,7 @@ from mvhash.cli import (
     RunConfig,
 )
 from mvhash.fusion import CandidateGraph, closed_form_rank
-from mvhash.qrank import raw_weights, weighted_rank
+from mvhash.qrank import raw_weights, weighted_topk
 
 
 def _report(capsys, num: int, ok: bool, detail: str) -> None:
@@ -365,8 +365,8 @@ def test_criterion_08_structural_invariants(fusion_index, capsys):
     bits = table.hash_model.bits
     w = rng.integers(1, 64, size=bits).astype(np.float64) / 32.0  # dyadic
     qwords = table.codes.words[7]
-    base = weighted_rank(table.codes, qwords, w, k=table.codes.n)
-    scaled = weighted_rank(table.codes, qwords, 4.0 * w, k=table.codes.n)
+    base = weighted_topk(table.codes, qwords, w, k=table.codes.n)[0]
+    scaled = weighted_topk(table.codes, qwords, 4.0 * w, k=table.codes.n)[0]
     scale_ok = np.array_equal(base, scaled)
 
     ok = (row_err <= 1e-12 and shape_ok and nonneg_ok and sym_ok and sum_ok

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -359,6 +360,54 @@ def test_query_k_below_one_is_an_error(capsys, tmp_path):
             assert code == 1
             assert out == ""
             assert err.startswith(f"mvhash: error: -k must be >= 1, got {k}")
+
+
+def _query_bundle(capsys, bundle, qfile):
+    code, out, err = _run(capsys, ["query", "--bundle", str(bundle), "--queries", qfile])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("mvhash: error:")
+    assert "Traceback" not in err
+    return err
+
+
+def test_malformed_manifest_is_an_error(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle")
+    qfile = _query_files(data, tmp_path)[0]
+    manifest_path = tmp_path / "bundle" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+
+    manifest_path.write_text("[1, 2]")
+    assert "not a JSON object" in _query_bundle(capsys, tmp_path / "bundle", qfile)
+    for key in ("files", "views", "split"):
+        manifest_path.write_text(json.dumps({k: v for k, v in manifest.items() if k != key}))
+        assert f"missing {key}" in _query_bundle(capsys, tmp_path / "bundle", qfile)
+    # Every file the loader reads must carry a content hash.
+    for name in ("split.bin", "view1.anchors.bin"):
+        files = {k: v for k, v in manifest["files"].items() if k != name}
+        manifest_path.write_text(json.dumps({**manifest, "files": files}))
+        err = _query_bundle(capsys, tmp_path / "bundle", qfile)
+        assert f"no content hash for {name}" in err
+
+
+def test_cut_or_padded_bundle_file_is_an_error(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle")
+    qfile = _query_files(data, tmp_path)[0]
+    bundle = tmp_path / "bundle"
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    for name in ("split.bin", "view0.model.bin", "view0.codes.bin", "view0.anchors.bin",
+                 "view0.indep.bin"):
+        blob = (bundle / name).read_bytes()
+        for bad in (blob[:10], blob[:-1], blob + b"\0\0\0"):
+            # A bundle whose hashes match its bytes: only the reader can catch it.
+            (bundle / name).write_bytes(bad)
+            files = {**manifest["files"], name: hashlib.sha256(bad).hexdigest()}
+            (bundle / "manifest.json").write_text(json.dumps({**manifest, "files": files}))
+            err = _query_bundle(capsys, bundle, qfile)
+            assert name in err and ("truncated" in err or "trailing bytes" in err)
+        (bundle / name).write_bytes(blob)
 
 
 def test_console_entry_point_runs():

@@ -5,14 +5,23 @@ import warnings
 import numpy as np
 import pytest
 
-from mvhash.hashing import (HashModel, encode, encode_one, hamming, hamming_rank,
-                            hamming_scan, load_codes, load_model, pack_bits,
-                            save_codes, save_model, train, unpack_bits,
-                            words_per_item)
+from mvhash.hashing import (HashModel, encode, encode_one, hamming_scan, load_codes,
+                            load_model, pack_bits, save_codes, save_model, topk, train,
+                            unpack_bits, words_per_item)
 
 
 def _random_bits(rng, n, bits):
     return (rng.random(size=(n, bits)) < 0.5).astype(np.uint8)
+
+
+def hamming(codes, i, j):
+    """Test-local reference: Hamming distance between items i and j, read off hamming_scan."""
+    return int(hamming_scan(codes, codes.words[j])[i])
+
+
+def hamming_rank(codes, query_words, k):
+    """Test-local reference: top-k ids by Hamming distance, ties by ascending id."""
+    return topk(hamming_scan(codes, query_words), k)
 
 
 def test_words_per_item():

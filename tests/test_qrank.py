@@ -17,8 +17,24 @@ from mvhash.metrics import brute_force_rank
 from mvhash.qrank import (HashTable, QueryParams, calibrate, hamming_query,
                           independence_matrix, mutual_information,
                           pairwise_mutual_information, qrank_query, raw_weights,
-                          weighted_hamming, weighted_hamming_scan, weighted_rank,
-                          weighted_topk)
+                          weighted_hamming_scan, weighted_topk)
+
+
+def weighted_hamming(codes, i, query_words, wstar):
+    """Test-local per-item reference: w* summed over the set bits of item i XOR
+    the query, left to right in ascending bit order (the canonical order).
+    Bits are read off the words as Python ints, independently of unpack_bits."""
+    x = codes.words[i] ^ np.asarray(query_words, dtype=np.uint64)
+    total = 0.0
+    for pos in range(codes.bits):
+        if int(x[pos // 64]) >> (pos % 64) & 1:
+            total += float(wstar[pos])
+    return total
+
+
+def weighted_rank(codes, query_words, wstar, k):
+    """Test-local reference: top-k ids by weighted Hamming distance, ties by ascending id."""
+    return weighted_topk(codes, query_words, wstar, k)[0]
 
 
 def _codes_from_columns(*cols):
@@ -209,28 +225,32 @@ def test_weighted_hamming_single_differing_bit():
     codes = pack_bits(np.array([[1, 1, 0], [1, 0, 0]], dtype=np.uint8))
     w = np.array([0.5, 0.3, 0.2])
     assert weighted_hamming(codes, 1, codes.words[0], w) == pytest.approx(0.3)
+    assert weighted_hamming_scan(codes, codes.words[0], w).tolist() == [0.0, 0.3]
 
 
 def test_weighted_hamming_uniform_weights_reduce_to_hamming():
-    from mvhash.hashing import hamming
     rng = np.random.default_rng(5)
     bits = (rng.random(size=(30, 17)) < 0.5).astype(np.uint8)
     codes = pack_bits(bits)
     w = np.full(17, 0.25)
+    scan = weighted_hamming_scan(codes, codes.words[3], w)
+    hamming = hamming_scan(codes, codes.words[3])
     for i in range(30):
         d = weighted_hamming(codes, i, codes.words[3], w)
-        assert d == pytest.approx(0.25 * hamming(codes, i, 3), abs=1e-12)
+        assert d == pytest.approx(0.25 * hamming[i], abs=1e-12)
+        assert scan[i] == d
 
 
 def test_weighted_hamming_ones_equal_integer_hamming_exactly():
-    from mvhash.hashing import hamming
     rng = np.random.default_rng(6)
     bits = (rng.random(size=(25, 21)) < 0.5).astype(np.uint8)
     codes = pack_bits(bits)
     w = np.ones(21)
+    scan = weighted_hamming_scan(codes, codes.words[0], w)
+    hamming = hamming_scan(codes, codes.words[0])
     for i in range(25):
-        assert weighted_hamming(codes, i, codes.words[0], w) == \
-            float(hamming(codes, i, 0))
+        assert weighted_hamming(codes, i, codes.words[0], w) == float(hamming[i])
+        assert scan[i] == float(hamming[i])
 
 
 def test_weighted_scan_matches_per_item_definition():
@@ -239,7 +259,7 @@ def test_weighted_scan_matches_per_item_definition():
     codes = pack_bits(bits)
     w = rng.random(33)
     q = codes.words[11]
-    scan = weighted_hamming_scan(codes, q, w, chunk=32)
+    scan = weighted_hamming_scan(codes, q, w)
     for i in range(120):
         assert scan[i] == weighted_hamming(codes, i, q, w)  # bitwise equal
 
@@ -251,10 +271,13 @@ def test_weighted_distance_invariant_under_bit_permutation():
     perm = rng.permutation(19)
     codes = pack_bits(bits)
     codes_p = pack_bits(bits[:, perm])
+    scan = weighted_hamming_scan(codes, codes.words[2], w)
+    scan_p = weighted_hamming_scan(codes_p, codes_p.words[2], w[perm])
     for i in range(0, 40, 5):
         d = weighted_hamming(codes, i, codes.words[2], w)
         d_p = weighted_hamming(codes_p, i, codes_p.words[2], w[perm])
         assert d_p == pytest.approx(d, rel=1e-12, abs=1e-15)
+        assert scan_p[i] == pytest.approx(scan[i], rel=1e-12, abs=1e-15)
 
 
 def test_weighted_rank_scaling_weights_keeps_permutation():
