@@ -12,8 +12,7 @@ from .index import MultiViewIndex, build_index, load_bundle, save_bundle
 from .metrics import (average_precision, brute_force_rank, map_score, pr_curve, precision_at_k,
                       ranking_metrics, recall_at_k)
 from .qrank import (BitWeights, QRankResult, QueryParams, calibrate, hamming_query,
-                    independence_matrix, mutual_information, qrank_query, raw_weights,
-                    weighted_hamming_scan)
+                    independence_matrix, qrank_query, raw_weights, weighted_hamming_scan)
 
 __version__ = "0.1.0"
 
@@ -24,8 +23,7 @@ __all__ = [
     "candidate_embedding", "candidate_similarity", "closed_form_rank", "encode",
     "encode_one", "fuse", "gen_synthetic", "ground_truth", "hamming_query", "hamming_scan",
     "independence_matrix", "load_bundle", "load_vectors", "make_split", "map_score",
-    "mutual_information", "pack_bits", "pr_curve", "precision_at_k", "qrank_query",
-    "qsrf_search", "random_walk", "ranking_metrics", "raw_weights", "recall_at_k",
-    "save_bundle", "save_vectors", "train", "transition_and_restart", "unpack_bits",
-    "weighted_hamming_scan",
+    "pack_bits", "pr_curve", "precision_at_k", "qrank_query", "qsrf_search", "random_walk",
+    "ranking_metrics", "raw_weights", "recall_at_k", "save_bundle", "save_vectors", "train",
+    "transition_and_restart", "unpack_bits", "weighted_hamming_scan",
 ]

@@ -60,6 +60,8 @@ class AnchorModel:
             raise ValueError(f"need 1 <= s_nn <= K, got s_nn={self.s_nn} K={self.k}")
         if self.kernel_bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
         if self._landmark_sqnorm is None:
             self._landmark_sqnorm = (self.landmark_embeddings.values ** 2).sum(axis=1)
 
@@ -207,13 +209,6 @@ def embed(model: AnchorModel, x: np.ndarray) -> SparseRow:
     return e.row(0)
 
 
-def embed_many(model: AnchorModel, points: np.ndarray) -> SparseEmbedding:
-    points = np.asarray(points, dtype=np.float64)
-    if points.shape[1] != model.dim:
-        raise ValueError(f"expected dim {model.dim}")
-    return _embed_matrix(points, model.anchors, model.s_nn, model.kernel_bandwidth)
-
-
 def _sparse_sqdist(z_p: SparseRow, z_q: SparseRow) -> float:
     """Squared Euclidean distance between sparse rows over the union of supports."""
     pi, pv = z_p
@@ -222,13 +217,6 @@ def _sparse_sqdist(z_p: SparseRow, z_q: SparseRow) -> float:
     dot = float(pv[ia] @ qv[ib]) if len(ia) else 0.0
     d2 = float(pv @ pv) + float(qv @ qv) - 2.0 * dot
     return max(d2, 0.0)
-
-
-def similarity(z_p: SparseRow, z_q: SparseRow, sigma: float) -> float:
-    """Gaussian similarity exp(-||z(p)-z(q)||^2 / sigma^2) in (0, 1]."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return float(np.exp(-_sparse_sqdist(z_p, z_q) / (sigma * sigma)))
 
 
 def landmark_similarities(model: AnchorModel, z_q: SparseRow) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import (MultiViewDataset, VectorView, gen_synthetic, ground_truth,
                       load_labels, load_vectors, make_split, save_labels, save_vectors)
-from .fusion import QsrfParams, qsrf_search
+from .fusion import QsrfParams, fuse_rankings
 from .hashing import FAMILIES
 from .index import build_index, load_bundle, save_bundle
 from .metrics import pr_curve, ranking_metrics
@@ -95,9 +95,17 @@ def _validate(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
+def _config(values: dict, overrides: dict) -> RunConfig:
+    """defaults < values < overrides; a None override keeps the value below it."""
+    merged = asdict(RunConfig())
+    merged.update(values)
+    merged.update({k: v for k, v in overrides.items() if v is not None})
+    return _validate(RunConfig(**merged))
+
+
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """defaults < JSON file < command-line flags."""
-    values = asdict(RunConfig())
+    raw = {}
     if path:
         try:
             raw = json.loads(Path(path).read_text())
@@ -107,14 +115,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise CliError(f"config {path}: expected a JSON object")
         if "lambda" in raw:
             raw["lam"] = raw.pop("lambda")
-        unknown = sorted(set(raw) - set(values))
+        unknown = sorted(set(raw) - set(asdict(RunConfig())))
         if unknown:
             raise CliError(f"config {path}: unknown keys {unknown}")
-        values.update(raw)
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    return _validate(RunConfig(**values))
+    return _config(raw, overrides)
 
 
 def _overrides(args, keys) -> dict:
@@ -156,16 +160,22 @@ def cmd_synth(args) -> int:
 
 # ---------------------------------------------------------------- build
 
+def _read_views(paths, label: str) -> list[np.ndarray]:
+    """Read one vector file per view; `label` names the files in errors."""
+    mats = []
+    for m, path in enumerate(paths):
+        try:
+            mats.append(load_vectors(path))
+        except (OSError, ValueError) as exc:
+            raise CliError(f"{label} {m} ({path}): {exc}") from None
+    return mats
+
+
 def _load_dataset(cfg: RunConfig) -> MultiViewDataset:
     if not cfg.views:
         raise CliError("no views configured; pass --view or set 'views' in the config")
-    views = []
-    for m, path in enumerate(cfg.views):
-        try:
-            data = load_vectors(path)
-        except (OSError, ValueError) as exc:
-            raise CliError(f"view {m} ({path}): {exc}") from None
-        views.append(VectorView(name=f"view{m}", data=data))
+    views = [VectorView(name=f"view{m}", data=data)
+             for m, data in enumerate(_read_views(cfg.views, "view"))]
     labels = None
     if cfg.labels:
         try:
@@ -211,103 +221,88 @@ def cmd_build(args) -> int:
 
 # ---------------------------------------------------------------- query
 
-def _bundle_config(index) -> RunConfig:
-    values = asdict(RunConfig())
-    known = {k: v for k, v in index.params.items() if k in values}
-    values.update(known)
-    return RunConfig(**values)
+RANKING_KEYS = ("gamma", "landmarks", "top_candidates", "alpha", "restart_mass")
 
 
-def _query_params(cfg: RunConfig, calibrate: bool) -> QueryParams:
-    return QueryParams(
-        gamma=cfg.gamma, n_landmarks=cfg.landmarks, calib_tol=cfg.calib_tol,
-        calib_max_iters=cfg.calib_max_iters, calibrate=calibrate,
-    )
+def _open_bundle(args, overrides: dict):
+    """Load --bundle; its build parameters < the ranking flags < `overrides`."""
+    try:
+        index = load_bundle(args.bundle)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"bundle {args.bundle}: {exc}") from None
+    keys = asdict(RunConfig())
+    built = {k: v for k, v in index.params.items() if k in keys}
+    return index, _config(built, {**_overrides(args, RANKING_KEYS), **overrides})
 
 
-def _qsrf_params(cfg: RunConfig, calibrate: bool) -> QsrfParams:
-    return QsrfParams(
-        top_n=cfg.top_candidates, alpha=cfg.alpha, restart_mass=cfg.restart_mass,
-        walk_tol=cfg.walk_tol, walk_max_iters=cfg.walk_max_iters,
-        query=_query_params(cfg, calibrate),
-    )
+def _check_views(index, mats, paths, views, label: str) -> None:
+    """mats[i], read from paths[i], must fit the index's view views[i]."""
+    if len(mats) != len(views):
+        names = ", ".join(f"view {v}" for v in views)
+        raise CliError(f"need one query file per view ({names}), got {len(mats)}")
+    for mat, path, v in zip(mats, paths, views):
+        dim = index.tables[v].hash_model.dim
+        if mat.shape[1] != dim:
+            raise CliError(f"{label} {v} ({path}): dim {mat.shape[1]} does not match "
+                           f"view {v} dim {dim}")
+    if any(mat.shape[0] != mats[0].shape[0] for mat in mats):
+        raise CliError(f"{label} files disagree on the number of rows")
+
+
+def _row(mode: str, view: int) -> str:
+    return "qsrf" if mode == "qsrf" else f"{mode}:view{view}"
+
+
+def _rank(index, views, vectors, modes, cfg: RunConfig, calibrate: bool, depth: int) -> dict:
+    """Rank one query in every mode of `modes`: row label -> (ids, scores), at
+    most `depth` long. vectors[i] is the query in view views[i]. Each view is
+    ranked once by qrank, and the qsrf row fuses those same rankings."""
+    rows, rankings = {}, []
+    qparams = QueryParams(gamma=cfg.gamma, n_landmarks=cfg.landmarks, calib_tol=cfg.calib_tol,
+                          calib_max_iters=cfg.calib_max_iters, calibrate=calibrate)
+    qrank_depth = max(depth if "qrank" in modes else 1,
+                      cfg.top_candidates if "qsrf" in modes else 1)
+    for v, x in zip(views, vectors):
+        table = index.tables[v]
+        if "hamming" in modes:
+            rows[_row("hamming", v)] = hamming_query(table, x, top_n=depth)
+        if "qrank" in modes or "qsrf" in modes:
+            res = qrank_query(table, x, qparams, top_n=qrank_depth)
+            rows[_row("qrank", v)] = (res.ids[:depth], res.distances[:depth])
+            rankings.append(res)
+    if "qsrf" in modes:
+        res = fuse_rankings(index.tables, rankings, QsrfParams(
+            top_n=cfg.top_candidates, alpha=cfg.alpha, restart_mass=cfg.restart_mass,
+            walk_tol=cfg.walk_tol, walk_max_iters=cfg.walk_max_iters, query=qparams))
+        rows["qsrf"] = (res.ids[:depth], res.scores[:depth])
+    return rows
 
 
 def cmd_query(args) -> int:
     if args.k < 1:
         raise CliError(f"-k must be >= 1, got {args.k}")
-    try:
-        index = load_bundle(args.bundle)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"bundle {args.bundle}: {exc}") from None
-    cfg = _bundle_config(index)
-    for key in ("gamma", "landmarks", "top_candidates", "alpha", "restart_mass"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    _validate(cfg)
-    calibrate = not args.no_calibrate
+    index, cfg = _open_bundle(args, {})
     if not args.queries:
         raise CliError("pass --queries at least once")
-    query_mats = []
-    for m, path in enumerate(args.queries):
-        try:
-            query_mats.append(load_vectors(path))
-        except (OSError, ValueError) as exc:
-            raise CliError(f"queries view {m} ({path}): {exc}") from None
-
     mode = args.mode
-    k = args.k
-    results = []
     if mode == "qsrf":
-        if len(query_mats) != index.n_views:
-            raise CliError(
-                f"qsrf needs one query file per view: got {len(query_mats)}, "
-                f"index has {index.n_views} views"
-            )
-        for m, (mat, table) in enumerate(zip(query_mats, index.tables)):
-            if mat.shape[1] != table.hash_model.dim:
-                raise CliError(
-                    f"queries view {m} ({args.queries[m]}): dim {mat.shape[1]} does not "
-                    f"match view {m} dim {table.hash_model.dim}"
-                )
-        n_q = query_mats[0].shape[0]
-        if any(mat.shape[0] != n_q for mat in query_mats):
-            raise CliError("query files disagree on the number of query rows")
-        params = _qsrf_params(cfg, calibrate)
-        for qi in range(n_q):
-            res = qsrf_search(index, [mat[qi] for mat in query_mats], params)
-            results.append([
-                {"id": int(i), "score": float(s)}
-                for i, s in zip(res.ids[:k], res.scores[:k])
-            ])
+        views = list(range(index.n_views))
+    elif 0 <= args.view < index.n_views:
+        views = [args.view]
     else:
-        view = args.view
-        if not (0 <= view < index.n_views):
-            raise CliError(f"--view {view} out of range for {index.n_views} views")
-        if len(query_mats) != 1:
-            raise CliError(f"mode {mode} takes exactly one --queries file")
-        table = index.tables[view]
-        if query_mats[0].shape[1] != table.hash_model.dim:
-            raise CliError(
-                f"query dim {query_mats[0].shape[1]} does not match view {view} "
-                f"dim {table.hash_model.dim}"
-            )
-        for q in query_mats[0]:
-            if mode == "hamming":
-                ids, dists = hamming_query(table, q, top_n=k)
-                results.append([
-                    {"id": int(i), "score": int(d)} for i, d in zip(ids, dists)
-                ])
-            elif mode == "qrank":
-                res = qrank_query(table, q, _query_params(cfg, calibrate), top_n=k)
-                results.append([
-                    {"id": int(i), "score": float(d)}
-                    for i, d in zip(res.ids, res.distances)
-                ])
-            else:
-                raise CliError(f"unknown mode {mode!r}")
-    payload = json.dumps({"mode": mode, "k": k, "results": results}, indent=2)
+        raise CliError(f"--view {args.view} out of range for {index.n_views} views")
+    mats = _read_views(args.queries, "queries view")
+    _check_views(index, mats, args.queries, views, "queries view")
+    results = []
+    for qi in range(mats[0].shape[0]):
+        rows = _rank(index, views, [mat[qi] for mat in mats], (mode,), cfg,
+                     not args.no_calibrate, args.k)
+        ids, scores = rows[_row(mode, views[0])]
+        results.append([
+            {"id": int(i), "score": int(s) if mode == "hamming" else float(s)}
+            for i, s in zip(ids, scores)
+        ])
+    payload = json.dumps({"mode": mode, "k": args.k, "results": results}, indent=2)
     if args.out:
         Path(args.out).write_text(payload + "\n")
         _log(f"query: wrote {args.out}")
@@ -318,58 +313,19 @@ def cmd_query(args) -> int:
 
 # ---------------------------------------------------------------- eval
 
-def _eval_modes(requested, n_views: int) -> list[str]:
-    """Expand base mode names into per-view row labels; qsrf only when M >= 2
-    unless explicitly forced."""
-    base = list(requested) if requested else (
-        ["hamming", "qrank"] + (["qsrf"] if n_views >= 2 else [])
-    )
-    rows = []
-    for b in base:
-        if b == "qsrf":
-            rows.append("qsrf")
-        elif b in ("hamming", "qrank"):
-            rows.extend(f"{b}:view{m}" for m in range(n_views))
-        else:
-            raise CliError(f"unknown mode {b!r}")
-    return rows
-
-
-def _rank_for_mode(mode: str, index, query_views, cfg: RunConfig, depth: int) -> np.ndarray:
-    if mode == "qsrf":
-        res = qsrf_search(index, query_views, _qsrf_params(cfg, True))
-        return res.ids[:depth]
-    base, _, view_name = mode.partition(":")
-    view = int(view_name.replace("view", ""))
-    table = index.tables[view]
-    if base == "hamming":
-        ids, _ = hamming_query(table, query_views[view], top_n=depth)
-        return ids
-    res = qrank_query(table, query_views[view], _query_params(cfg, True), top_n=depth)
-    return res.ids
-
-
 def cmd_eval(args) -> int:
-    try:
-        index = load_bundle(args.bundle)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"bundle {args.bundle}: {exc}") from None
-    cfg = _bundle_config(index)
-    for key in ("runs", "queries_per_run", "gamma", "landmarks", "top_candidates",
-                "alpha", "restart_mass", "labels"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if args.view:
-        cfg.views = args.view
-    if args.ks:
-        cfg.eval_ks = args.ks
-    _validate(cfg)
+    index, cfg = _open_bundle(args, {
+        **_overrides(args, ("runs", "queries_per_run", "labels")),
+        "views": args.view, "eval_ks": args.ks,
+    })
     ds = _load_dataset(cfg)
+    views = list(range(index.n_views))
+    _check_views(index, [v.data for v in ds.views], cfg.views, views, "view")
     if ds.labels is None:
         raise CliError("eval needs labels; pass --labels or set it in the config")
-    if ds.n <= int(index.split.database.max()):
-        raise CliError("dataset is smaller than the index's database ids")
+    split_ids = max(index.split.database.max(), index.split.query.max())
+    if ds.n <= split_ids:
+        raise CliError(f"dataset has {ds.n} items; the index's split has ids up to {split_ids}")
     gt = ground_truth(ds.labels, index.split)
     n_empty = sum(1 for rel in gt.values() if len(rel) == 0)
     valid_queries = np.asarray([q for q in index.split.query if len(gt[int(q)]) > 0])
@@ -378,7 +334,9 @@ def cmd_eval(args) -> int:
     if n_empty:
         _log(f"eval: excluded {n_empty} queries with empty relevant sets")
 
-    modes = _eval_modes(args.modes, index.n_views)
+    # qsrf runs by default only when there are at least two views
+    bases = args.modes or ["hamming", "qrank"] + (["qsrf"] if index.n_views >= 2 else [])
+    modes = list(dict.fromkeys(_row(b, v) for b in bases for v in views))
     ks = sorted(set(int(k) for k in cfg.eval_ks))
     depth = max(cfg.top_candidates, max(ks))
     out_dir = Path(args.out_dir or (Path(cfg.output) / "eval"))
@@ -386,7 +344,7 @@ def cmd_eval(args) -> int:
 
     per_run: dict[str, dict[str, list]] = {m: {} for m in modes}
     pr_sums: dict[str, np.ndarray] = {}
-    pr_counts: dict[str, int] = {}
+    n_ranked = 0
     for run in range(cfg.runs):
         rng = np.random.default_rng(cfg.seed + 7919 * (run + 1))
         if cfg.queries_per_run and cfg.queries_per_run < len(valid_queries):
@@ -394,50 +352,42 @@ def cmd_eval(args) -> int:
         else:
             qids = valid_queries
         _log(f"eval: run {run + 1}/{cfg.runs}: {len(qids)} queries, modes {modes}")
-        for mode in modes:
-            acc: dict[str, list] = {}
-            for q in qids:
-                q = int(q)
-                query_views = [v.data[q] for v in ds.views]
-                ranked = _rank_for_mode(mode, index, query_views, cfg, depth)
-                m = ranking_metrics(ranked, gt[q], ks, depth)
-                for name, val in m.items():
-                    acc.setdefault(name, []).append(val)
-                pr = np.asarray(pr_curve(ranked, gt[q])).T  # ranked holds at most depth ids
+        acc: dict[str, dict[str, list]] = {m: {} for m in modes}
+        for q in qids:
+            q = int(q)
+            ranked = _rank(index, views, [v.data[q] for v in ds.views], bases, cfg, True, depth)
+            n_ranked += 1
+            for mode in modes:
+                ids = ranked[mode][0]
+                for name, val in ranking_metrics(ids, gt[q], ks, depth).items():
+                    acc[mode].setdefault(name, []).append(val)
+                pr = np.asarray(pr_curve(ids, gt[q])).T  # ids holds at most depth items
                 if mode not in pr_sums:
                     pr_sums[mode] = np.zeros(pr.shape)
-                    pr_counts[mode] = 0
                 width = min(pr_sums[mode].shape[1], pr.shape[1])
                 pr_sums[mode][:, :width] += pr[:, :width]
-                pr_counts[mode] += 1
-            for name, vals in acc.items():
+        for mode in modes:
+            for name, vals in acc[mode].items():
                 per_run[mode].setdefault(name, []).append(float(np.mean(vals)))
 
-    rows = []
-    summary: dict[str, dict] = {}
-    for mode in modes:
-        summary[mode] = {}
-        for name, runs_vals in per_run[mode].items():
-            metric, kv = name.rsplit("@", 1)
-            arr = np.asarray(runs_vals)
-            rows.append((mode, metric, int(kv), float(arr.mean()), float(arr.std())))
-            summary[mode][name] = {
-                "mean": float(arr.mean()),
-                "stddev": float(arr.std()),
-                "runs": [float(v) for v in arr],
-            }
+    summary = {mode: {name: {"mean": float(np.mean(vals)), "stddev": float(np.std(vals)),
+                             "runs": vals}
+                      for name, vals in per_run[mode].items()}
+               for mode in modes}
 
     csv_path = out_dir / "metrics.csv"
     with open(csv_path, "w") as fh:
         fh.write("mode,metric,k,mean,stddev\n")
-        for mode, metric, k, mean, std in rows:
-            fh.write(f"{mode},{metric},{k},{mean:.6f},{std:.6f}\n")
+        for mode in modes:
+            for name, stats in summary[mode].items():
+                metric, k = name.rsplit("@", 1)
+                fh.write(f"{mode},{metric},{k},{stats['mean']:.6f},{stats['stddev']:.6f}\n")
 
     pr_path = out_dir / "pr_curves.csv"
     with open(pr_path, "w") as fh:
         fh.write("mode,recall,precision\n")
         for mode in modes:
-            avg = pr_sums[mode] / pr_counts[mode]
+            avg = pr_sums[mode] / n_ranked
             for rec, prec in avg.T:
                 fh.write(f"{mode},{rec:.6f},{prec:.6f}\n")
 
@@ -460,6 +410,15 @@ def cmd_eval(args) -> int:
 
 def _add_config_arg(p):
     p.add_argument("--config", help="JSON config file with flat keys")
+
+
+def _add_ranking_args(p):
+    """The flags named by RANKING_KEYS."""
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--landmarks", type=int)
+    p.add_argument("--top-candidates", dest="top_candidates", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--restart-mass", dest="restart_mass", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,11 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("hamming", "qrank", "qsrf"), default="qrank")
     p.add_argument("--view", type=int, default=0, help="view for hamming/qrank")
     p.add_argument("-k", type=int, default=DEFAULT_QUERY_K)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--landmarks", type=int)
-    p.add_argument("--top-candidates", dest="top_candidates", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--restart-mass", dest="restart_mass", type=float)
+    _add_ranking_args(p)
     p.add_argument("--no-calibrate", action="store_true")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_query)
@@ -523,11 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int)
     p.add_argument("--queries-per-run", dest="queries_per_run", type=int)
     p.add_argument("--ks", nargs="+", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--landmarks", type=int)
-    p.add_argument("--top-candidates", dest="top_candidates", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--restart-mass", dest="restart_mass", type=float)
+    _add_ranking_args(p)
     p.add_argument("--out-dir", dest="out_dir")
     p.set_defaults(func=cmd_eval)
 

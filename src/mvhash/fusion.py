@@ -13,7 +13,7 @@ and a walk step applies them in O(candidates * s_nn).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -368,21 +368,36 @@ def qsrf_search(
     query_views: Sequence[np.ndarray],
     params: QsrfParams = QsrfParams(),
 ) -> QsrfResult:
-    """Fused reranking over all tables of a multi-view index.
-
-    Runs the per-table weighted ranking, builds each table's candidate graph,
-    superposes them, and ranks by the restart walk's visiting probabilities.
-    The query vertex is dropped; ties on score break by ascending id.
-    """
+    """Fused reranking over all tables of a multi-view index: each table's
+    weighted ranking (`qrank_query`), then `fuse_rankings` over them."""
     tables = index.tables
     if len(query_views) != len(tables):
         raise ValueError(f"query has {len(query_views)} views, index has {len(tables)}")
-    graphs = []
-    per_table = []
-    for m, (table, qv) in enumerate(zip(tables, query_views)):
-        res = qrank_query(table, qv, params.query, top_n=params.top_n)
-        per_table.append(res)
-        graphs.append(build_candidate_graph(table, m, res))
+    rankings = [qrank_query(table, qv, params.query, top_n=params.top_n)
+                for table, qv in zip(tables, query_views)]
+    return fuse_rankings(tables, rankings, params)
+
+
+def fuse_rankings(
+    tables: Sequence[HashTable],
+    rankings: Sequence[QRankResult],
+    params: QsrfParams = QsrfParams(),
+) -> QsrfResult:
+    """Rerank the first params.top_n items of each table's qrank result.
+
+    Builds each table's candidate graph, superposes them, and ranks by the
+    restart walk's visiting probabilities. The query vertex is dropped; ties on
+    score break by ascending id. A deeper ranking fuses exactly as a top_n one
+    would: the rankings `qrank_query` returns for one query at any depth are
+    prefixes of one stable order.
+    """
+    if len(rankings) != len(tables):
+        raise ValueError(f"got {len(rankings)} rankings for {len(tables)} tables")
+    n = params.top_n
+    per_table = [replace(res, ids=res.ids[:n], local_ids=res.local_ids[:n],
+                         distances=res.distances[:n]) for res in rankings]
+    graphs = [build_candidate_graph(table, m, res)
+              for m, (table, res) in enumerate(zip(tables, per_table))]
     fused = fuse(graphs)
     fused = transition_and_restart(fused, alpha=params.alpha, restart_mass=params.restart_mass)
     walk = random_walk(fused, tol=params.walk_tol, max_iters=params.walk_max_iters)

@@ -28,6 +28,7 @@ MANIFEST_NAME = "manifest.json"
 BUNDLE_FORMAT = "mvhash-bundle"
 BUNDLE_VERSION = 1
 MANIFEST_KEYS = ("files", "views", "split", "bits", "family", "seed")
+VIEW_FILES = ("model", "codes", "anchors", "independence")
 
 
 @dataclass
@@ -168,9 +169,18 @@ def load_bundle(bundle_dir: Union[str, Path], verify: bool = True) -> MultiViewI
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing:
         raise ValueError(f"{manifest_path}: missing {', '.join(missing)}")
+    if not (isinstance(manifest["views"], list) and isinstance(manifest["files"], dict)
+            and isinstance(manifest["split"], str)):
+        raise ValueError(f"{manifest_path}: views must be a list, files an object and "
+                         f"split a file name")
+    for m, view in enumerate(manifest["views"]):
+        names = view.get("files") if isinstance(view, dict) else None
+        if not (isinstance(names, dict) and all(isinstance(names.get(k), str) for k in VIEW_FILES)):
+            raise ValueError(f"{manifest_path}: view {m} needs a files object naming its "
+                             f"{', '.join(VIEW_FILES)} files")
     if verify:
         loaded = [manifest["split"]]
-        loaded += [name for view in manifest["views"] for name in view["files"].values()]
+        loaded += [view["files"][key] for view in manifest["views"] for key in VIEW_FILES]
         unhashed = sorted(set(loaded) - set(manifest["files"]))
         if unhashed:
             raise ValueError(f"{manifest_path}: no content hash for {', '.join(unhashed)}")
@@ -180,20 +190,18 @@ def load_bundle(bundle_dir: Union[str, Path], verify: bool = True) -> MultiViewI
                 raise ValueError(f"{bundle_dir}/{name}: content hash mismatch")
     split = load_split(bundle_dir / manifest["split"])
     tables = []
-    for view in manifest["views"]:
+    for m, view in enumerate(manifest["views"]):
         names = view["files"]
-        model = load_model(bundle_dir / names["model"])
-        codes = load_codes(bundle_dir / names["codes"])
-        anchor_model = load_anchor_model(bundle_dir / names["anchors"])
-        indep = load_independence(bundle_dir / names["independence"])
-        tables.append(HashTable(
-            name=view["name"],
-            hash_model=model,
-            codes=codes,
+        table = HashTable(
+            name=view.get("name", f"view{m}"),
+            hash_model=load_model(bundle_dir / names["model"]),
+            codes=load_codes(bundle_dir / names["codes"]),
             db_ids=split.database.astype(np.int64),
-            anchor_model=anchor_model,
-            independence=indep,
-        ))
+            anchor_model=load_anchor_model(bundle_dir / names["anchors"]),
+            independence=load_independence(bundle_dir / names["independence"]),
+        )
+        _check_table(table, manifest["bits"], f"{manifest_path}: view {m}")
+        tables.append(table)
     return MultiViewIndex(
         tables=tables,
         split=split,
@@ -202,3 +210,17 @@ def load_bundle(bundle_dir: Union[str, Path], verify: bool = True) -> MultiViewI
         seed=manifest["seed"],
         params=manifest.get("params", {}),
     )
+
+
+def _check_table(table: HashTable, bits: int, where: str) -> None:
+    """One view's files must agree with each other, the split and the manifest."""
+    for what, got, ref, want in (
+        ("model bits", table.hash_model.bits, "manifest bits", bits),
+        ("code bits", table.codes.bits, "manifest bits", bits),
+        ("anchor code bits", table.anchor_model.anchor_codes.bits, "manifest bits", bits),
+        ("independence size", table.independence.a.shape[0], "manifest bits", bits),
+        ("code rows", table.codes.n, "split database size", len(table.db_ids)),
+        ("anchor dim", table.anchor_model.dim, "model dim", table.hash_model.dim),
+    ):
+        if got != want:
+            raise ValueError(f"{where}: {what} {got} does not match {ref} {want}")

@@ -131,17 +131,6 @@ def pairwise_mutual_information(bits01: np.ndarray, smoothing: float = MI_SMOOTH
     return _mi_from_counts(c11, c10, c01, c00, smoothing)
 
 
-def mutual_information(codes: PackedCodes, i: int, j: int, smoothing: float = MI_SMOOTHING) -> float:
-    """Empirical MI between bits i and j of the codes, from the 2x2 joint table."""
-    bits = unpack_bits(codes).astype(np.float64)
-    yi, yj = bits[:, i], bits[:, j]
-    c11 = float(yi @ yj)
-    c10 = float(yi.sum() - c11)
-    c01 = float(yj.sum() - c11)
-    c00 = float(len(yi) - c11 - c10 - c01)
-    return float(_mi_from_counts(c11, c10, c01, c00, smoothing))
-
-
 def independence_matrix(codes: PackedCodes, lam: float = 1.0, smoothing: float = MI_SMOOTHING) -> IndependenceMatrix:
     """exp(-lambda * MI) off the diagonal, 0 on it; computed once per table offline."""
     if lam <= 0:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from mvhash.anchors import (AnchorModel, _blocked_sqdist, build_anchors, embed, embed_many,
-                            load_anchor_model, query_neighbor_profile,
-                            save_anchor_model, similarity)
+from mvhash.anchors import (AnchorModel, _blocked_sqdist, build_anchors, embed,
+                            load_anchor_model, query_neighbor_profile, save_anchor_model)
 from mvhash.hashing import train
+from references import embed_many, similarity
 
 
 def _model(data, k, s_nn, seed=0, method="random", with_codes=False):

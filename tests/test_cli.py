@@ -4,12 +4,16 @@ import hashlib
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import mvhash.qrank as qrank_module
 from mvhash import load_vectors, save_vectors
 from mvhash.cli import main
+from mvhash.hashing import PackedCodes, load_codes, save_codes
+from mvhash.qrank import IndependenceMatrix, save_independence
 
 
 def _run(capsys, argv):
@@ -238,6 +242,52 @@ def test_eval_outputs_csv_pr_json(capsys, tmp_path):
             assert len(stats["runs"]) == 2
 
 
+def test_eval_view_files_must_match_the_bundle(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle", seed=9)  # the split's largest id, 89, is a query
+    narrow = tmp_path / "narrow.mvh"
+    save_vectors(narrow, np.zeros((90, 4)))  # the views are 8-dimensional
+    short = [str(tmp_path / f"short{m}.mvh") for m in range(2)]
+    for m, path in enumerate(short):
+        save_vectors(path, load_vectors(data["views"][m])[:89])
+    short_labels = tmp_path / "short_labels.txt"
+    short_labels.write_text("".join(open(data["labels"]).readlines()[:89]))
+    for views, labels, message in (
+        (data["views"][:1], data["labels"], "need one query file per view (view 0, view 1), got 1"),
+        ([data["views"][0], str(narrow)], data["labels"], "dim 4 does not match view 1 dim 8"),
+        (data["views"] + data["views"][:1], data["labels"],
+         "need one query file per view (view 0, view 1), got 3"),
+        (short, str(short_labels), "dataset has 89 items; the index's split has ids up to 89"),
+    ):
+        argv = ["eval", "--bundle", str(tmp_path / "bundle"), "--labels", labels,
+                "--runs", "1", "--queries-per-run", "3", "--out-dir", str(tmp_path / "eval")]
+        for path in views:
+            argv += ["--view", path]
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("mvhash: error:")
+        assert message in err
+
+
+def test_eval_ranks_each_view_once_per_query(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle")
+    with mock.patch("mvhash.qrank.calibrate", wraps=qrank_module.calibrate) as spy:
+        code, _, _ = _run(capsys, [
+            "eval", "--bundle", str(tmp_path / "bundle"),
+            "--view", data["views"][0], "--view", data["views"][1],
+            "--labels", data["labels"], "--runs", "1", "--queries-per-run", "5",
+            "--top-candidates", "30", "--out-dir", str(tmp_path / "eval"),
+        ])
+    assert code == 0
+    # 5 queries x 2 views: the qsrf row reuses the qrank rows' calibrated weights
+    assert spy.call_count == 10
+    modes = {line.split(",")[0] for line in (tmp_path / "eval" / "metrics.csv").read_text()
+             .splitlines()[1:]}
+    assert modes == {"hamming:view0", "hamming:view1", "qrank:view0", "qrank:view1", "qsrf"}
+
+
 def test_eval_single_view_omits_qsrf(capsys, tmp_path):
     data = _synth(capsys, tmp_path / "data", views=1)
     _build(capsys, data, tmp_path / "bundle")
@@ -383,6 +433,15 @@ def test_malformed_manifest_is_an_error(capsys, tmp_path):
     for key in ("files", "views", "split"):
         manifest_path.write_text(json.dumps({k: v for k, v in manifest.items() if k != key}))
         assert f"missing {key}" in _query_bundle(capsys, tmp_path / "bundle", qfile)
+    # Every view entry must be an object whose files name all four view files.
+    for bad_view in (1, {"name": "view0"}, {"name": "view0", "files": []},
+                     {"name": "view0", "files": {k: v for k, v in
+                                                 manifest["views"][0]["files"].items()
+                                                 if k != "independence"}}):
+        views = [bad_view] + manifest["views"][1:]
+        manifest_path.write_text(json.dumps({**manifest, "views": views}))
+        err = _query_bundle(capsys, tmp_path / "bundle", qfile)
+        assert "manifest.json: view 0 needs a files object" in err
     # Every file the loader reads must carry a content hash.
     for name in ("split.bin", "view1.anchors.bin"):
         files = {k: v for k, v in manifest["files"].items() if k != name}
@@ -407,6 +466,36 @@ def test_cut_or_padded_bundle_file_is_an_error(capsys, tmp_path):
             (bundle / "manifest.json").write_text(json.dumps({**manifest, "files": files}))
             err = _query_bundle(capsys, bundle, qfile)
             assert name in err and ("truncated" in err or "trailing bytes" in err)
+        (bundle / name).write_bytes(blob)
+
+
+def test_bundle_files_must_agree_with_each_other(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle")
+    qfile = _query_files(data, tmp_path)[0]
+    bundle = tmp_path / "bundle"
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    codes = load_codes(bundle / "view0.codes.bin")
+    few_rows = tmp_path / "few.codes.bin"
+    save_codes(few_rows, PackedCodes(words=codes.words[:5], bits=codes.bits))
+    small_indep = tmp_path / "small.indep.bin"
+    save_independence(small_indep, IndependenceMatrix(a=np.zeros((8, 8)), lam=1.0))
+    for name, swap, message in (
+        ("view0.codes.bin", few_rows, "view 0: code rows 5 does not match split database size 80"),
+        ("view0.indep.bin", small_indep, "view 0: independence size 8 does not match manifest bits 16"),
+    ):
+        blob = (bundle / name).read_bytes()
+        # Valid files with matching hashes: only the cross-file checks can catch them.
+        (bundle / name).write_bytes(swap.read_bytes())
+        files = {**manifest["files"], name: hashlib.sha256(swap.read_bytes()).hexdigest()}
+        (bundle / "manifest.json").write_text(json.dumps({**manifest, "files": files}))
+        for mode in ("hamming", "qrank"):
+            code, out, err = _run(capsys, ["query", "--bundle", str(bundle), "--queries", qfile,
+                                           "--mode", mode])
+            assert code == 1
+            assert out == ""
+            assert err.startswith("mvhash: error:")
+            assert message in err
         (bundle / name).write_bytes(blob)
 
 

@@ -27,7 +27,7 @@ from mvhash import (
     unpack_bits,
 )
 from mvhash.anchors import SparseEmbedding
-from mvhash.fusion import QUERY_VERTEX, CandidateGraph, FusedGraph
+from mvhash.fusion import QUERY_VERTEX, CandidateGraph, FusedGraph, fuse_rankings
 
 
 def _graph(vertices, weighted_edges, n=None):
@@ -501,3 +501,23 @@ def test_qsrf_search_rejects_view_count_mismatch():
     ds, split, idx = _two_view_index()
     with pytest.raises(ValueError):
         qsrf_search(idx, [ds.views[0].data[split.query[0]]])
+
+
+def test_fusing_deeper_rankings_equals_qsrf_search():
+    # eval ranks each view once at its full depth and fuses those rankings;
+    # fuse_rankings cuts them to top_n, so the result must equal qsrf_search.
+    ds, split, idx = _two_view_index()
+    params = QsrfParams(top_n=30, query=QueryParams(n_landmarks=10))
+    for qid in split.query[:5]:
+        views = [v.data[qid] for v in ds.views]
+        deep = [qrank_query(t, x, params.query, top_n=75) for t, x in zip(idx.tables, views)]
+        assert all(len(res.ids) == 75 for res in deep)
+        fused = fuse_rankings(idx.tables, deep, params)
+        ref = qsrf_search(idx, views, params)
+        np.testing.assert_array_equal(fused.ids, ref.ids)
+        assert fused.scores.tobytes() == ref.scores.tobytes()
+        for got, want in zip(fused.per_table, ref.per_table):
+            np.testing.assert_array_equal(got.ids, want.ids)
+            assert got.distances.tobytes() == want.distances.tobytes()
+    with pytest.raises(ValueError):
+        fuse_rankings(idx.tables, deep[:1], params)

@@ -11,13 +11,13 @@ import mvhash.qrank as qrank_module
 from mvhash.anchors import build_anchors
 from mvhash.dataset import gen_synthetic, make_split
 from mvhash.fusion import QsrfParams, qsrf_search
-from mvhash.hashing import HashModel, encode_one, hamming_scan, pack_bits, train
+from mvhash.hashing import HashModel, encode_one, hamming_scan, pack_bits, train, unpack_bits
 from mvhash.index import build_index
 from mvhash.metrics import brute_force_rank
 from mvhash.qrank import (HashTable, QueryParams, calibrate, hamming_query,
-                          independence_matrix, mutual_information,
-                          pairwise_mutual_information, qrank_query, raw_weights,
-                          weighted_hamming_scan, weighted_topk)
+                          independence_matrix, pairwise_mutual_information, qrank_query,
+                          raw_weights, weighted_hamming_scan, weighted_topk)
+from references import embed_many, mutual_information
 
 
 def weighted_hamming(codes, i, query_words, wstar):
@@ -37,6 +37,14 @@ def weighted_rank(codes, query_words, wstar, k):
     return weighted_topk(codes, query_words, wstar, k)[0]
 
 
+def mi(codes, i, j):
+    """The library's MI of bits i and j, an entry of pairwise_mutual_information,
+    after checking it against the cell-by-cell reference."""
+    value = pairwise_mutual_information(unpack_bits(codes))[i, j]
+    assert value == pytest.approx(mutual_information(codes, i, j), abs=1e-12)
+    return value
+
+
 def _codes_from_columns(*cols):
     return pack_bits(np.stack(cols, axis=1).astype(np.uint8))
 
@@ -45,7 +53,7 @@ def test_mi_of_bit_with_itself_is_entropy_of_fair_bit():
     n = 10000
     bit = np.concatenate([np.ones(n // 2), np.zeros(n // 2)]).astype(np.uint8)
     codes = _codes_from_columns(bit, bit)
-    assert mutual_information(codes, 0, 0) == pytest.approx(np.log(2), abs=1e-3)
+    assert mi(codes, 0, 0) == pytest.approx(np.log(2), abs=1e-3)
 
 
 def test_mi_independent_bits_zero():
@@ -53,14 +61,14 @@ def test_mi_independent_bits_zero():
     a = np.array([1, 1, 0, 0], dtype=np.uint8).repeat(2500)
     b = np.tile(np.array([1, 0], dtype=np.uint8), 5000)
     codes = _codes_from_columns(a, b)
-    assert mutual_information(codes, 0, 1) == pytest.approx(0.0, abs=1e-12)
+    assert mi(codes, 0, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mi_complementary_bits_full_information():
     n = 10000
     a = np.concatenate([np.ones(n // 2), np.zeros(n // 2)]).astype(np.uint8)
     codes = _codes_from_columns(a, 1 - a)
-    assert mutual_information(codes, 0, 1) == pytest.approx(np.log(2), abs=1e-3)
+    assert mi(codes, 0, 1) == pytest.approx(np.log(2), abs=1e-3)
 
 
 def test_mi_exactly_symmetric_and_bounded():
@@ -69,11 +77,11 @@ def test_mi_exactly_symmetric_and_bounded():
     codes = pack_bits(bits)
     for _ in range(40):
         i, j = (int(v) for v in rng.integers(0, 10, size=2))
-        mij = mutual_information(codes, i, j)
-        assert mij == mutual_information(codes, j, i)  # exact, not approx
+        mij = mi(codes, i, j)
+        assert mij == mi(codes, j, i)  # exact, not approx
         assert mij >= 0
-        hi = mutual_information(codes, i, i)
-        hj = mutual_information(codes, j, j)
+        hi = mi(codes, i, i)
+        hj = mi(codes, j, j)
         assert mij <= min(hi, hj) + 1e-12
 
 
@@ -154,7 +162,7 @@ def test_raw_weights_gamma_scales_exponent():
 def test_raw_weights_balanced_mass_gives_one():
     # two anchors mirrored around the query get equal profile weight; one
     # agrees and one disagrees on the single bit, so the exponent cancels
-    from mvhash.anchors import AnchorModel, SparseEmbedding, embed_many
+    from mvhash.anchors import AnchorModel, SparseEmbedding
     anchors = np.array([[1.0, 0.0], [-1.0, 0.0]])
     hm = train("lsh", np.vstack([anchors, np.zeros((4, 2))]), 1, seed=3)
     emb = embed_many(
