@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +73,31 @@ class RunConfig:
     synth_noise: float = 0.3
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# a field's declared type (a list field: its name) -> (what it must be, check)
+_FIELD_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "views": ("a list of strings", lambda v: isinstance(v, list)
+              and all(isinstance(p, str) for p in v)),
+    "eval_ks": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+
+def _check_types(cfg: RunConfig) -> None:
+    for f in fields(RunConfig):
+        kind, ok = _FIELD_KINDS[f.name if f.type == "list" else f.type]
+        value = getattr(cfg, f.name)
+        if not ok(value):
+            raise CliError(f"{f.name} must be {kind}, got {value!r}")
+
+
 def _validate(cfg: RunConfig) -> RunConfig:
+    _check_types(cfg)
     if cfg.bits < 1:
         raise CliError("bits must be >= 1")
     if cfg.family not in FAMILIES:
@@ -82,12 +106,16 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise CliError("need anchors >= 1 and 1 <= s_nn <= anchors")
     if not (1 <= cfg.landmarks <= cfg.anchors):
         raise CliError("need 1 <= landmarks <= anchors")
-    if cfg.gamma < 0 or cfg.lam <= 0:
+    if not (cfg.gamma >= 0 and cfg.lam > 0):
         raise CliError("need gamma >= 0 and lambda > 0")
     if not (0.0 < cfg.alpha < 1.0):
         raise CliError("alpha must be in (0, 1)")
     if not (0.0 < cfg.restart_mass < 1.0):
         raise CliError("restart_mass must be in (0, 1)")
+    if not (cfg.calib_tol > 0 and cfg.walk_tol > 0):
+        raise CliError("need calib_tol > 0 and walk_tol > 0")
+    if cfg.calib_max_iters < 1 or cfg.walk_max_iters < 1:
+        raise CliError("need calib_max_iters >= 1 and walk_max_iters >= 1")
     if cfg.top_candidates < 1 or cfg.runs < 1:
         raise CliError("top_candidates and runs must be >= 1")
     if not cfg.eval_ks or any(k < 1 for k in cfg.eval_ks):
@@ -253,11 +281,14 @@ def _row(mode: str, view: int) -> str:
     return "qsrf" if mode == "qsrf" else f"{mode}:view{view}"
 
 
-def _rank(index, views, vectors, modes, cfg: RunConfig, calibrate: bool, depth: int) -> dict:
+def _rank(index, views, vectors, modes, cfg: RunConfig, calibrate: bool, depth: int):
     """Rank one query in every mode of `modes`: row label -> (ids, scores), at
     most `depth` long. vectors[i] is the query in view views[i]. Each view is
-    ranked once by qrank, and the qsrf row fuses those same rankings."""
-    rows, rankings = {}, []
+    ranked once by qrank, and the qsrf row fuses those same rankings.
+
+    Also returns row label -> {rate name: 1.0 if the row's iterative solver
+    (qrank's calibration, qsrf's walk) stopped at its cap, else 0.0}."""
+    rows, capped, rankings = {}, {}, []
     qparams = QueryParams(gamma=cfg.gamma, n_landmarks=cfg.landmarks, calib_tol=cfg.calib_tol,
                           calib_max_iters=cfg.calib_max_iters, calibrate=calibrate)
     qrank_depth = max(depth if "qrank" in modes else 1,
@@ -269,13 +300,17 @@ def _rank(index, views, vectors, modes, cfg: RunConfig, calibrate: bool, depth: 
         if "qrank" in modes or "qsrf" in modes:
             res = qrank_query(table, x, qparams, top_n=qrank_depth)
             rows[_row("qrank", v)] = (res.ids[:depth], res.distances[:depth])
+            if res.calibration is not None:
+                capped[_row("qrank", v)] = {
+                    "calibration_nonconverged_frac": float(not res.calibration.converged)}
             rankings.append(res)
     if "qsrf" in modes:
         res = fuse_rankings(index.tables, rankings, QsrfParams(
             top_n=cfg.top_candidates, alpha=cfg.alpha, restart_mass=cfg.restart_mass,
             walk_tol=cfg.walk_tol, walk_max_iters=cfg.walk_max_iters, query=qparams))
         rows["qsrf"] = (res.ids[:depth], res.scores[:depth])
-    return rows
+        capped["qsrf"] = {"walk_nonconverged_frac": float(not res.walk.converged)}
+    return rows, capped
 
 
 def cmd_query(args) -> int:
@@ -295,8 +330,8 @@ def cmd_query(args) -> int:
     _check_views(index, mats, args.queries, views, "queries view")
     results = []
     for qi in range(mats[0].shape[0]):
-        rows = _rank(index, views, [mat[qi] for mat in mats], (mode,), cfg,
-                     not args.no_calibrate, args.k)
+        rows, _ = _rank(index, views, [mat[qi] for mat in mats], (mode,), cfg,
+                        not args.no_calibrate, args.k)
         ids, scores = rows[_row(mode, views[0])]
         results.append([
             {"id": int(i), "score": int(s) if mode == "hamming" else float(s)}
@@ -355,11 +390,13 @@ def cmd_eval(args) -> int:
         acc: dict[str, dict[str, list]] = {m: {} for m in modes}
         for q in qids:
             q = int(q)
-            ranked = _rank(index, views, [v.data[q] for v in ds.views], bases, cfg, True, depth)
+            ranked, capped = _rank(index, views, [v.data[q] for v in ds.views], bases, cfg,
+                                   True, depth)
             n_ranked += 1
             for mode in modes:
                 ids = ranked[mode][0]
-                for name, val in ranking_metrics(ids, gt[q], ks, depth).items():
+                rates = capped.get(mode, {})
+                for name, val in {**ranking_metrics(ids, gt[q], ks, depth), **rates}.items():
                     acc[mode].setdefault(name, []).append(val)
                 pr = np.asarray(pr_curve(ids, gt[q])).T  # ids holds at most depth items
                 if mode not in pr_sums:
@@ -380,6 +417,8 @@ def cmd_eval(args) -> int:
         fh.write("mode,metric,k,mean,stddev\n")
         for mode in modes:
             for name, stats in summary[mode].items():
+                if "@" not in name:
+                    continue  # a solver's non-convergence rate: metrics.json only
                 metric, k = name.rsplit("@", 1)
                 fh.write(f"{mode},{metric},{k},{stats['mean']:.6f},{stats['stddev']:.6f}\n")
 

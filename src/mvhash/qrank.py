@@ -26,6 +26,7 @@ MAGIC_INDEP = b"MVHI"
 
 MI_SMOOTHING = 0.25
 WEIGHT_FLOOR = 1e-12
+CALIB_BLOCK = 64  # replicator steps per stop test in `calibrate`
 
 # bit b of byte value v, little-endian within the byte: (256, 8) of 0/1
 _BYTE_BITS = unpack_bits(PackedCodes(np.arange(256, dtype=np.uint64)[:, None], 8))
@@ -88,13 +89,18 @@ class CalibrationResult:
 
 @dataclass
 class QRankResult:
-    """Ranked output of one table: global ids with weighted distances."""
+    """Ranked output of one table: global ids with weighted distances.
+
+    calibration is the run that produced weights.calibrated (its iterations
+    and whether it converged before the cap), or None when calibration is off.
+    """
 
     ids: np.ndarray
     local_ids: np.ndarray
     distances: np.ndarray
     weights: BitWeights
     query_words: np.ndarray
+    calibration: Optional[CalibrationResult] = None
 
 
 def _mi_terms(p: np.ndarray, pi_m: np.ndarray, pj_m: np.ndarray) -> np.ndarray:
@@ -182,6 +188,12 @@ def calibrate(
     pi <- (pi o M pi) / (pi^T M pi) until the l1 change drops below tol or
     max_iters is hit. Returns pi and the floored calibrated weights w o pi.
     An all-zero M yields the uniform pi with a warning.
+
+    The stop test runs once per block of CALIB_BLOCK steps, over every step of
+    the block, and the result ends at the block's first step that passes it.
+    Each step does the same float operations in the same order as a loop
+    testing every step, so the result equals that loop's bit for bit. Working
+    memory is one (CALIB_BLOCK + 1, B) buffer whatever max_iters is.
     """
     w = np.asarray(raw, dtype=np.float64)
     if np.any(w <= 0):
@@ -200,22 +212,41 @@ def calibrate(
                                  iterates=[pi.copy()] if record_iterates else None)
     objectives = [obj]
     iterates = [pi.copy()] if record_iterates else None
+    # Steps run CALIB_BLOCK at a time. Step j of a block reads row j - 1 of
+    # buf and objs and writes row j of both, through views made once here, so
+    # a step is four NumPy calls; ndarray.dot gives the same bits as `m @ pi`
+    # and `pi @ g` (the tests check this) at less call overhead. The l1 stop
+    # test then runs once over the block's steps, and the steps after the
+    # first one that passes it are dropped.
+    buf = np.empty((CALIB_BLOCK + 1, b))
+    objs = np.empty(CALIB_BLOCK + 1)
+    buf[0], objs[0] = pi, obj
+    rows, obj_views = list(buf), [objs[j, ...] for j in range(CALIB_BLOCK + 1)]
     converged = False
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        new_pi = pi * g / obj
-        delta = float(np.abs(new_pi - pi).sum())
-        pi = new_pi
-        g = m @ pi
-        obj = float(pi @ g)
-        objectives.append(obj)
+    iters = steps = 0
+    while iters < max_iters:
+        n = min(CALIB_BLOCK, max_iters - iters)
+        for j in range(1, n + 1):
+            nxt = rows[j]
+            np.multiply(rows[j - 1], g, nxt)
+            np.divide(nxt, obj_views[j - 1], nxt)
+            m.dot(nxt, g)
+            nxt.dot(g, obj_views[j])
+            if objs[j] == 0.0:
+                n = j
+                break
+        deltas = np.add.reduce(np.abs(buf[1:n + 1] - buf[:n]), axis=1)
+        hit = np.flatnonzero(deltas < tol)
+        converged = hit.size > 0
+        steps = int(hit[0]) + 1 if converged else n
+        objectives.extend(objs[1:steps + 1].tolist())
         if record_iterates:
-            iterates.append(pi.copy())
-        if delta < tol:
-            converged = True
+            iterates.extend(row.copy() for row in rows[1:steps + 1])
+        iters += steps
+        if converged or objs[n] == 0.0:
             break
-        if obj == 0.0:
-            break
+        buf[0], objs[0] = buf[n], objs[n]
+    pi = buf[steps].copy()
     calibrated = np.maximum(w * pi, WEIGHT_FLOOR)
     return CalibrationResult(pi=pi, calibrated=calibrated, objectives=objectives,
                              iterations=iters, converged=converged, iterates=iterates)
@@ -316,6 +347,7 @@ def qrank_query(
     _check_top_n(top_n)
     w = raw_weights(table.hash_model, table.anchor_model, query,
                     gamma=params.gamma, n_landmarks=params.n_landmarks)
+    cal = None
     if params.calibrate:
         cal = calibrate(w, table.independence, tol=params.calib_tol,
                         max_iters=params.calib_max_iters)
@@ -332,6 +364,7 @@ def qrank_query(
         distances=dist,
         weights=weights,
         query_words=query_words,
+        calibration=cal,
     )
 
 

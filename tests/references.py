@@ -9,7 +9,7 @@ import pytest
 
 from mvhash.anchors import AnchorModel, SparseEmbedding, embed, landmark_similarities
 from mvhash.hashing import unpack_bits
-from mvhash.qrank import MI_SMOOTHING
+from mvhash.qrank import MI_SMOOTHING, WEIGHT_FLOOR, CalibrationResult, IndependenceMatrix
 
 
 def embed_many(model, points):
@@ -50,3 +50,40 @@ def mutual_information(codes, i, j, smoothing=MI_SMOOTHING):
     pi, pj = p.sum(axis=1), p.sum(axis=0)
     return float(sum(p[a, b] * np.log(p[a, b] / (pi[a] * pj[b]))
                      for a in (0, 1) for b in (0, 1)))
+
+
+def calibrate_per_step(raw, a, tol=1e-8, max_iters=1000, record_iterates=False):
+    """Replicator dynamics on pi' M pi, M_ij = w_i a_ij w_j, with the l1 stop
+    test after every step: the loop `qrank.calibrate` must reproduce bit for bit."""
+    w = np.asarray(raw, dtype=np.float64)
+    amat = a.a if isinstance(a, IndependenceMatrix) else np.asarray(a, dtype=np.float64)
+    b = len(w)
+    m = amat * np.outer(w, w)
+    pi = np.full(b, 1.0 / b)
+    g = m @ pi
+    obj = float(pi @ g)
+    if obj == 0.0:
+        return CalibrationResult(pi=pi, calibrated=np.maximum(w * pi, WEIGHT_FLOOR),
+                                 objectives=[0.0], iterations=0, converged=True,
+                                 iterates=[pi.copy()] if record_iterates else None)
+    objectives = [obj]
+    iterates = [pi.copy()] if record_iterates else None
+    converged = False
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        new_pi = pi * g / obj
+        delta = float(np.abs(new_pi - pi).sum())
+        pi = new_pi
+        g = m @ pi
+        obj = float(pi @ g)
+        objectives.append(obj)
+        if record_iterates:
+            iterates.append(pi.copy())
+        if delta < tol:
+            converged = True
+            break
+        if obj == 0.0:
+            break
+    return CalibrationResult(pi=pi, calibrated=np.maximum(w * pi, WEIGHT_FLOOR),
+                             objectives=objectives, iterations=iters, converged=converged,
+                             iterates=iterates)

@@ -288,6 +288,27 @@ def test_eval_ranks_each_view_once_per_query(capsys, tmp_path):
     assert modes == {"hamming:view0", "hamming:view1", "qrank:view0", "qrank:view1", "qsrf"}
 
 
+def test_eval_reports_solver_nonconvergence_rates(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"calib_max_iters": 1, "walk_max_iters": 1}))
+    _build(capsys, data, tmp_path / "bundle", extra=["--config", str(cfg_path)])
+    code, _, _ = _run(capsys, [
+        "eval", "--bundle", str(tmp_path / "bundle"),
+        "--view", data["views"][0], "--view", data["views"][1],
+        "--labels", data["labels"], "--runs", "2", "--queries-per-run", "3",
+        "--top-candidates", "30", "--out-dir", str(tmp_path / "eval"),
+    ])
+    assert code == 0
+    modes = json.loads((tmp_path / "eval" / "metrics.json").read_text())["modes"]
+    capped = {"mean": 1.0, "stddev": 0.0, "runs": [1.0, 1.0]}
+    for v in (0, 1):
+        assert modes[f"qrank:view{v}"]["calibration_nonconverged_frac"] == capped
+        assert not any("nonconverged" in name for name in modes[f"hamming:view{v}"])
+    assert modes["qsrf"]["walk_nonconverged_frac"] == capped
+    assert "nonconverged" not in (tmp_path / "eval" / "metrics.csv").read_text()
+
+
 def test_eval_single_view_omits_qsrf(capsys, tmp_path):
     data = _synth(capsys, tmp_path / "data", views=1)
     _build(capsys, data, tmp_path / "bundle")
@@ -343,6 +364,25 @@ def test_invalid_config_values_are_rejected(capsys, tmp_path):
                                  "--out", str(tmp_path / "d")])
     assert code == 1
     assert "alpha" in err
+
+
+@pytest.mark.parametrize("bad", [
+    {"calib_max_iters": 2.5}, {"walk_max_iters": 1.5}, {"calib_tol": "x"}, {"bits": "48"},
+    {"bits": True}, {"eval_ks": [1, "5"]}, {"output": 5},
+    {"calib_tol": 0}, {"walk_tol": -1e-3}, {"calib_max_iters": 0}, {"walk_max_iters": 0},
+])
+def test_config_value_of_wrong_type_or_range_is_an_error(capsys, tmp_path, bad):
+    data = _synth(capsys, tmp_path / "data")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    argv = ["build", "--config", str(cfg_path), "--out", str(tmp_path / "bundle")]
+    for path in data["views"]:
+        argv += ["--view", path]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("mvhash: error:")
+    assert next(iter(bad)) in err
 
 
 # ------------------------------------------------------------------- errors

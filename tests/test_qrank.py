@@ -1,6 +1,7 @@
 """Bitwise mutual information, independence matrix, raw weights, replicator
 calibration, weighted Hamming ranking."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,10 +15,10 @@ from mvhash.fusion import QsrfParams, qsrf_search
 from mvhash.hashing import HashModel, encode_one, hamming_scan, pack_bits, train, unpack_bits
 from mvhash.index import build_index
 from mvhash.metrics import brute_force_rank
-from mvhash.qrank import (HashTable, QueryParams, calibrate, hamming_query,
+from mvhash.qrank import (CALIB_BLOCK, HashTable, QueryParams, calibrate, hamming_query,
                           independence_matrix, pairwise_mutual_information, qrank_query,
                           raw_weights, weighted_hamming_scan, weighted_topk)
-from references import embed_many, mutual_information
+from references import calibrate_per_step, embed_many, mutual_information
 
 
 def weighted_hamming(codes, i, query_words, wstar):
@@ -227,6 +228,86 @@ def test_calibrate_zero_matrix_returns_uniform_with_warning():
     with pytest.warns(RuntimeWarning):
         res = calibrate(np.ones(4), np.zeros((4, 4)))
     np.testing.assert_allclose(res.pi, 0.25)
+
+
+def test_calibrate_memory_does_not_grow_with_max_iters():
+    tracemalloc.start()
+    try:
+        res = calibrate(np.ones(2), np.array([[0.0, 1.0], [1.0, 0.0]]), max_iters=10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < 1 << 20
+
+
+def _assert_same_calibration(got, want):
+    assert got.pi.tobytes() == want.pi.tobytes()
+    assert got.calibrated.tobytes() == want.calibrated.tobytes()
+    assert np.array(got.objectives).tobytes() == np.array(want.objectives).tobytes()
+    assert all(type(obj) is float for obj in got.objectives)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    if want.iterates is None:
+        assert got.iterates is None
+    else:
+        assert [pi.tobytes() for pi in got.iterates] == [pi.tobytes() for pi in want.iterates]
+
+
+def _random_instance(rng, b, spread=1.0, density=1.0):
+    """Raw weights and a symmetric, zero-diagonal independence matrix; with
+    density < 1 some pairs are 0, so pi can run off to a face of the simplex."""
+    a = np.exp(-spread * rng.random((b, b))) * (rng.random((b, b)) < density)
+    a = np.triu(a, 1)
+    return np.exp(spread * rng.uniform(-1.0, 1.0, b)), a + a.T
+
+
+def _tol_stopping_at(w, a, step):
+    """A tol that stops the per-step loop at `step` if that step's l1 change is
+    below every earlier one (else at the first later step that is)."""
+    ref = calibrate_per_step(w, a, tol=0.0, max_iters=step, record_iterates=True)
+    deltas = [float(np.abs(new - old).sum()) for old, new in zip(ref.iterates, ref.iterates[1:])]
+    return min(deltas[:step - 1], default=3.0)  # an l1 change on the simplex is at most 2
+
+
+@pytest.mark.parametrize("step", [1, 7, CALIB_BLOCK - 1, CALIB_BLOCK, CALIB_BLOCK + 1,
+                                  2 * CALIB_BLOCK])
+def test_calibrate_stops_on_the_per_step_loops_step(step):
+    w, a = _random_instance(np.random.default_rng(0), 48)
+    tol = _tol_stopping_at(w, a, step)
+    res = calibrate(w, a, tol=tol, max_iters=1000, record_iterates=True)
+    assert res.converged and res.iterations == step
+    _assert_same_calibration(res, calibrate_per_step(w, a, tol=tol, max_iters=1000,
+                                                     record_iterates=True))
+
+
+@st.composite
+def _calibration_cases(draw):
+    b = draw(st.sampled_from([2, 3, 31, 48, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w, a = _random_instance(rng, b, spread=draw(st.sampled_from([0.1, 1.0, 4.0])),
+                            density=draw(st.sampled_from([1.0, 0.5, 0.1])))
+    max_iters = draw(st.sampled_from([0, 1, CALIB_BLOCK - 1, CALIB_BLOCK, CALIB_BLOCK + 1, 1000]))
+    stop = draw(st.sampled_from(["default", "never", "inside", "block end"]))
+    if stop == "default":
+        tol = 1e-8
+    elif stop == "never":
+        tol = 0.0
+    else:
+        blocks = range(CALIB_BLOCK, 3 * CALIB_BLOCK + 1, CALIB_BLOCK)
+        inside = [s for s in range(1, 3 * CALIB_BLOCK) if s % CALIB_BLOCK]
+        tol = _tol_stopping_at(w, a, draw(st.sampled_from(blocks if stop == "block end"
+                                                          else inside)))
+    return w, a, tol, max_iters, draw(st.booleans())
+
+
+@pytest.mark.filterwarnings("ignore:calibration objective is zero")
+@settings(max_examples=100, deadline=None)
+@given(_calibration_cases())
+def test_calibrate_equals_the_per_step_loop_bit_for_bit(case):
+    w, a, tol, max_iters, record = case
+    _assert_same_calibration(
+        calibrate(w, a, tol=tol, max_iters=max_iters, record_iterates=record),
+        calibrate_per_step(w, a, tol=tol, max_iters=max_iters, record_iterates=record))
 
 
 def test_weighted_hamming_single_differing_bit():
