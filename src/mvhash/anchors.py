@@ -18,6 +18,9 @@ from .binfile import BinaryReader
 from .hashing import HashModel, PackedCodes, encode, topk, words_per_item
 
 MAGIC_ANCHORS = b"MVHA"
+# points per screen block; freeing blocks this large lifts glibc's mmap
+# threshold above candidate_embedding's per-query arrays (no fresh page faults)
+NEAREST_CHUNK = 2048
 
 SparseRow = tuple[np.ndarray, np.ndarray]  # (anchor indices, values), aligned
 
@@ -86,9 +89,7 @@ def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator, iters: int = 25)
         d2 = np.minimum(d2, ((data - centers[c]) ** 2).sum(axis=1))
     assign = None
     for _ in range(iters):
-        dists = _blocked_sqdist(data, centers) if n * k <= 2_000_000 \
-            else _chunked_sqdist(data, centers)
-        new_assign = dists.argmin(axis=1)
+        new_assign = nearest_anchors(data, centers, 1)[0][:, 0]
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -101,41 +102,68 @@ def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator, iters: int = 25)
     return centers
 
 
-def _blocked_sqdist(a: np.ndarray, b: np.ndarray, block: int = 256) -> np.ndarray:
-    """Squared distances summed from direct differences, `block` rows of a at a time.
+def smallest_per_row(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, s: int):
+    """(cols, dist), each (n, s): the first s entries of every row 0..n-1 of a
+    window in (row, dist, col) order. The window must hold s entries a row."""
+    order = np.lexsort((cols, dist, rows))
+    rows, cols, dist = rows[order], cols[order], dist[order]
+    first = np.arange(len(rows)) - np.searchsorted(rows, rows) < s
+    return cols[first].reshape(-1, s), dist[first].reshape(-1, s)
 
-    Equal bit for bit to ((a[:, None] - b[None]) ** 2).sum(axis=2), with a
-    (block, len(b), d) temporary instead of an (len(a), len(b), d) one.
+
+def kernel_rows(dist: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-dist / scale) floored at 1e-300, rows normalized to sum 1. Each row
+    is shifted by its first, smallest entry, which cancels in the normalization."""
+    vals = np.exp(-(dist - dist[:, :1]) / scale)
+    np.maximum(vals, 1e-300, out=vals)
+    vals /= vals.sum(axis=1, keepdims=True)
+    return vals
+
+
+def nearest_anchors(points: np.ndarray, anchors: np.ndarray, s: int):
+    """Each point's s nearest anchors, as (ids, d2), each (n, s).
+
+    Rows are in (distance, anchor id) order and d2 holds the direct sums
+    ((x - a) ** 2).sum(): bit for bit the first s of a stable argsort of all
+    of them, whatever the BLAS. Needs 1 <= s <= K. Memory: a (NEAREST_CHUNK,
+    K) screen, and the window's differences, about NEAREST_CHUNK * s * d.
+
+    Screen: S = |x|^2 + |a|^2 - 2 x.a. With u = eps/2, N = |x|^2 + |a|^2 and
+    D the exact distance: the norms and x.a are d-term sums within gamma_d =
+    d u / (1 - d u) of exact (|x.a| <= N/2), and two more roundings add
+    u (N + 2N), so |S - D| <= (2 gamma_d + 3u) N. The direct sum E rounds a
+    difference, a square and d - 1 additions a term: |E - D| <= gamma_{d+2} D
+    <= 2 gamma_{d+2} N, so |S - E| <= 2 (d + 2) eps N to first order. delta_x
+    = 4 (d + 2) (eps (|x|^2 + max |a|^2) + tiny) bounds it with a 2x margin
+    for second-order terms, the computed norms, the rounding of delta_x and
+    (tiny) gradual underflow. As in qrank.weighted_topk, each anchor of the
+    exact top s then has S <= fl(S_(s) + 2 delta_x), S_(s) the row's s-th
+    smallest S; only that window is scored exactly.
     """
-    out = np.empty((a.shape[0], b.shape[0]))
-    for lo in range(0, a.shape[0], block):
-        out[lo:lo + block] = ((a[lo:lo + block, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return out
-
-
-def _chunked_sqdist(a: np.ndarray, b: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    out = np.empty((a.shape[0], b.shape[0]))
-    bb = (b ** 2).sum(axis=1)
-    for lo in range(0, a.shape[0], chunk):
-        hi = min(lo + chunk, a.shape[0])
-        aa = (a[lo:hi] ** 2).sum(axis=1)
-        out[lo:hi] = aa[:, None] + bb[None, :] - 2.0 * (a[lo:hi] @ b.T)
-    np.maximum(out, 0.0, out=out)
-    return out
+    n, d = points.shape
+    if not 1 <= s <= len(anchors):
+        raise ValueError(f"need 1 <= s <= {len(anchors)}, got s={s}")
+    if not (np.isfinite(points).all() and np.isfinite(anchors).all()):
+        raise ValueError("points and anchors must be finite")
+    finfo = np.finfo(np.float64)
+    aa = (anchors ** 2).sum(axis=1)
+    ids, d2 = np.empty((n, s), dtype=np.intp), np.empty((n, s))
+    for lo in range(0, n, NEAREST_CHUNK):
+        x = points[lo:lo + NEAREST_CHUNK]
+        xx = (x ** 2).sum(axis=1)
+        screen = xx[:, None] + aa - 2.0 * (x @ anchors.T)
+        kth = np.partition(screen, s - 1, axis=1)[:, s - 1]
+        delta = 4.0 * (d + 2) * (finfo.eps * (xx + aa.max()) + finfo.tiny)
+        rows, cols = np.nonzero(screen <= (kth + 2.0 * delta)[:, None])
+        exact = ((x[rows] - anchors[cols]) ** 2).sum(axis=1)
+        ids[lo:lo + len(x)], d2[lo:lo + len(x)] = smallest_per_row(rows, cols, exact, s)
+    return ids, d2
 
 
 def _embed_matrix(points: np.ndarray, anchors: np.ndarray, s_nn: int, bandwidth: float) -> SparseEmbedding:
     """Vectorized embedding of many points: s_nn nearest anchors, kernel weights."""
-    d2 = _chunked_sqdist(points, anchors)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :s_nn]
-    kept = np.take_along_axis(d2, order, axis=1)
-    # shift by the nearest distance before exponentiating; the normalization
-    # cancels the shift and the nearest entry stays exactly exp(0)=1
-    shifted = (kept - kept[:, :1]) / (2.0 * bandwidth * bandwidth)
-    vals = np.exp(-shifted)
-    np.maximum(vals, 1e-300, out=vals)
-    vals /= vals.sum(axis=1, keepdims=True)
-    return SparseEmbedding(indices=order.astype(np.int32), values=vals)
+    ids, kept = nearest_anchors(points, anchors, s_nn)
+    return SparseEmbedding(ids.astype(np.int32), kernel_rows(kept, 2.0 * bandwidth * bandwidth))
 
 
 def build_anchors(
@@ -169,12 +197,8 @@ def build_anchors(
         raise ValueError(f"unknown anchor method {method!r}")
 
     sample_idx = rng.choice(n, size=min(n, 1000), replace=False)
-    sample = data[sample_idx]
-    d2 = _chunked_sqdist(sample, anchors)
-    kth = np.sort(d2, axis=1)[:, s_nn - 1]
-    bandwidth = float(np.sqrt(kth).mean())
-    if bandwidth <= 0.0:
-        bandwidth = 1e-9
+    kth = nearest_anchors(data[sample_idx], anchors, s_nn)[1][:, s_nn - 1]
+    bandwidth = float(np.sqrt(kth).mean()) or 1e-9  # 0 when every sample sits on s_nn anchors
 
     landmark_emb = _embed_matrix(anchors, anchors, s_nn, bandwidth)
 
@@ -182,11 +206,7 @@ def build_anchors(
     pair_pts = np.unique(pair_idx)
     emb = _embed_matrix(data[pair_pts], anchors, s_nn, bandwidth)
     pos = np.searchsorted(pair_pts, pair_idx)
-    sigma = 0.0
-    for a, b in pos:
-        d = _sparse_sqdist(emb.row(a), emb.row(b))
-        sigma = max(sigma, d)
-    sigma = max(np.sqrt(sigma), 1e-6)
+    sigma = max(np.sqrt(max(_sparse_sqdist(emb.row(a), emb.row(b)) for a, b in pos)), 1e-6)
 
     model = AnchorModel(
         anchors=anchors,
@@ -205,8 +225,7 @@ def embed(model: AnchorModel, x: np.ndarray) -> SparseRow:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.dim:
         raise ValueError(f"expected a vector of dim {model.dim}")
-    e = _embed_matrix(x[None, :], model.anchors, model.s_nn, model.kernel_bandwidth)
-    return e.row(0)
+    return _embed_matrix(x[None, :], model.anchors, model.s_nn, model.kernel_bandwidth).row(0)
 
 
 def _sparse_sqdist(z_p: SparseRow, z_q: SparseRow) -> float:
@@ -241,8 +260,7 @@ def query_neighbor_profile(model: AnchorModel, z_q: SparseRow, n_landmarks: int 
         raise ValueError(f"L={n_landmarks} exceeds K={model.k}")
     sims = landmark_similarities(model, z_q)
     top = topk(-sims, n_landmarks)
-    weights = sims[top]
-    weights = weights / weights.sum()
+    weights = sims[top] / sims[top].sum()
     return top.astype(np.int64), weights
 
 

@@ -86,6 +86,10 @@ _FIELD_KINDS = {
               and all(isinstance(p, str) for p in v)),
     "eval_ks": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
 }
+_AT_LEAST = {"bits": 1, "calib_max_iters": 1, "walk_max_iters": 1, "top_candidates": 1,
+             "runs": 1, "synth_clusters": 1, "synth_per_cluster": 1, "synth_views": 1,
+             "synth_dim": 1, "seed": 0, "n_train": 0, "n_query": 0, "queries_per_run": 0,
+             "itq_iters": 0, "synth_noise": 0}
 
 
 def _check_types(cfg: RunConfig) -> None:
@@ -98,8 +102,9 @@ def _check_types(cfg: RunConfig) -> None:
 
 def _validate(cfg: RunConfig) -> RunConfig:
     _check_types(cfg)
-    if cfg.bits < 1:
-        raise CliError("bits must be >= 1")
+    for name, low in _AT_LEAST.items():
+        if not getattr(cfg, name) >= low:  # NaN fails too
+            raise CliError(f"{name} must be >= {low}, got {getattr(cfg, name)!r}")
     if cfg.family not in FAMILIES:
         raise CliError(f"family must be one of {FAMILIES}")
     if cfg.anchors < 1 or not (1 <= cfg.s_nn <= cfg.anchors):
@@ -114,10 +119,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise CliError("restart_mass must be in (0, 1)")
     if not (cfg.calib_tol > 0 and cfg.walk_tol > 0):
         raise CliError("need calib_tol > 0 and walk_tol > 0")
-    if cfg.calib_max_iters < 1 or cfg.walk_max_iters < 1:
-        raise CliError("need calib_max_iters >= 1 and walk_max_iters >= 1")
-    if cfg.top_candidates < 1 or cfg.runs < 1:
-        raise CliError("top_candidates and runs must be >= 1")
     if not cfg.eval_ks or any(k < 1 for k in cfg.eval_ks):
         raise CliError("eval_ks must be positive")
     return cfg

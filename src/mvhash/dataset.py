@@ -106,12 +106,6 @@ def save_vectors(path: Union[str, Path], data: np.ndarray) -> None:
         fh.write(data.tobytes())
 
 
-def _load_vectors_binary(path: Path) -> np.ndarray:
-    rd = BinaryReader(path, MAGIC_VECTORS, "vectors", version=None)
-    n, d = rd.header("<II")
-    return rd.done(rd.array("<f4", n, d).astype(np.float64))
-
-
 def _load_vectors_csv(path: Path) -> np.ndarray:
     rows = []
     width = None
@@ -137,25 +131,22 @@ def _load_vectors_csv(path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def load_vectors(path: Union[str, Path], fmt: Optional[str] = None) -> np.ndarray:
-    """Load a vector matrix from the binary format or CSV.
+def load_vectors(path: Union[str, Path]) -> np.ndarray:
+    """Load a vector matrix: CSV if the extension is .csv, the binary format otherwise.
 
-    fmt is "binary", "csv", or None to sniff from the extension (.csv means
-    CSV, anything else binary). CSV uses comma separators and '.' decimals.
-    Non-finite values are rejected with the offending row index.
+    CSV uses comma separators and '.' decimals. Non-finite values are
+    rejected with the offending row index.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "binary"
-    if fmt == "binary":
-        data = _load_vectors_binary(path)
-        if not np.all(np.isfinite(data)):
-            bad = int(np.argwhere(~np.isfinite(data).all(axis=1))[0, 0])
-            raise ValueError(f"{path}: non-finite value in row {bad}")
-        return data
-    if fmt == "csv":
+    if path.suffix.lower() == ".csv":
         return _load_vectors_csv(path)
-    raise ValueError(f"unknown vector format {fmt!r}")
+    rd = BinaryReader(path, MAGIC_VECTORS, "vectors", version=None)
+    n, d = rd.header("<II")
+    data = rd.done(rd.array("<f4", n, d).astype(np.float64))
+    if not np.all(np.isfinite(data)):
+        bad = int(np.argwhere(~np.isfinite(data).all(axis=1))[0, 0])
+        raise ValueError(f"{path}: non-finite value in row {bad}")
+    return data
 
 
 def load_labels(path: Union[str, Path]) -> np.ndarray:
@@ -241,7 +232,6 @@ def gen_synthetic(
     dim: int = 32,
     noise: float = 0.3,
     seed: int = 0,
-    center_spread: float = 1.0,
 ) -> MultiViewDataset:
     """Clustered Gaussian data where views share structure but not noise.
 
@@ -251,7 +241,7 @@ def gen_synthetic(
     Labels are cluster ids. With noise=0 all members of a cluster coincide.
     """
     rng = np.random.default_rng(seed)
-    centers = rng.normal(scale=center_spread, size=(n_clusters, dim))
+    centers = rng.normal(size=(n_clusters, dim))
     labels = np.repeat(np.arange(n_clusters), per_cluster)
     n = n_clusters * per_cluster
     views = []

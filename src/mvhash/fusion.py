@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .anchors import SparseEmbedding
+from .anchors import SparseEmbedding, kernel_rows, smallest_per_row
 from .hashing import PackedCodes, unpack_bits
 from .qrank import HashTable, QueryParams, QRankResult, qrank_query
 
@@ -222,20 +222,11 @@ def candidate_embedding(
     cw = cand_bits * wstar
     ncw = (1.0 - cand_bits) * wstar
     d = cw @ (1.0 - anch_bits).T + ncw @ anch_bits.T
-    # Every entry within each row's s_nn-th smallest distance, ordered by
-    # (distance, anchor id); the first s_nn of each row are kept.
+    # each row's entries at or below its s_nn-th smallest distance hold its top s_nn
     kth = np.partition(d, s_nn - 1, axis=1)[:, s_nn - 1:s_nn]
     rows, cols = np.nonzero(d <= kth)
-    dist = d[rows, cols]
-    order = np.lexsort((cols, dist, rows))
-    rows, cols, dist = rows[order], cols[order], dist[order]
-    first = np.arange(len(rows)) - np.searchsorted(rows, rows) < s_nn
-    indices = cols[first].reshape(-1, s_nn)
-    kept = dist[first].reshape(-1, s_nn)
-    vals = np.exp(-(kept - kept[:, :1]) / sigma_h)  # shift cancels in the normalization
-    np.maximum(vals, 1e-300, out=vals)
-    vals /= vals.sum(axis=1, keepdims=True)
-    return SparseEmbedding(indices=indices.astype(np.int32), values=vals)
+    indices, kept = smallest_per_row(rows, cols, d[rows, cols], s_nn)
+    return SparseEmbedding(indices=indices.astype(np.int32), values=kernel_rows(kept, sigma_h))
 
 
 def candidate_similarity(z: SparseEmbedding, n_anchors: int):

@@ -19,6 +19,14 @@ def embed_many(model, points):
                            values=np.stack([vals for _, vals in rows]))
 
 
+def nearest_anchors_exhaustive(points, anchors, s):
+    """Each point's s nearest anchors: direct-difference squared distances to
+    every anchor, then a stable argsort; returns (ids, squared distances)."""
+    d2 = ((points[:, None, :] - anchors[None, :, :]) ** 2).sum(axis=2)
+    ids = np.argsort(d2, axis=1, kind="stable")[:, :s]
+    return ids, np.take_along_axis(d2, ids, axis=1)
+
+
 def similarity(z_p, z_q, sigma):
     """Gaussian similarity exp(-||z_p - z_q||^2 / sigma^2) of two sparse rows,
     computed on dense copies.

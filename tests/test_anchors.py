@@ -1,12 +1,16 @@
 """Anchor selection, sparse kernel embeddings, similarity, neighbor profiles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mvhash.anchors import (AnchorModel, _blocked_sqdist, build_anchors, embed,
-                            load_anchor_model, query_neighbor_profile, save_anchor_model)
+from mvhash import anchors as anchors_mod
+from mvhash.anchors import (AnchorModel, build_anchors, embed, load_anchor_model,
+                            nearest_anchors, query_neighbor_profile, save_anchor_model)
 from mvhash.hashing import train
-from references import embed_many, similarity
+from references import embed_many, nearest_anchors_exhaustive, similarity
 
 
 def _model(data, k, s_nn, seed=0, method="random", with_codes=False):
@@ -212,11 +216,38 @@ def test_build_deterministic():
     assert m1.sigma == m2.sigma
 
 
-def test_blocked_sqdist_matches_unblocked_bitwise():
-    rng = np.random.default_rng(4)
-    for d in (3, 13, 64):
-        a = rng.normal(size=(700, d))
-        b = rng.normal(size=(37, d))
-        ref = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        for block in (1, 7, 256, 700, 1000):
-            assert _blocked_sqdist(a, b, block).tobytes() == ref.tobytes()
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), k=st.integers(1, 25), d=st.integers(1, 16),
+       log_norm=st.floats(0, 6), grid=st.booleans(), s_pick=st.sampled_from(["1", "mid", "k"]),
+       chunk=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_nearest_anchors_matches_exhaustive_stable_argsort(n, k, d, log_norm, grid, s_pick,
+                                                           chunk, seed):
+    # A common offset of norm up to 1e6 makes the screen's |x|^2 + |a|^2 -
+    # 2 x.a cancel badly; integer grids, duplicate anchors and points placed
+    # on anchors force exact ties, also at the s-th place.
+    rng = np.random.default_rng(seed)
+    offset = rng.uniform(-1, 1, size=d) * 10.0 ** log_norm / np.sqrt(d)
+    if grid:
+        offset = np.round(offset)
+        anchors = offset + rng.integers(-2, 3, size=(k, d))
+        points = offset + rng.integers(-2, 3, size=(n, d))
+    else:
+        anchors = offset + rng.normal(size=(k, d))
+        points = offset + rng.normal(size=(n, d))
+    anchors[rng.integers(k, size=k // 3)] = anchors[rng.integers(k, size=k // 3)]
+    points[:n // 3] = anchors[rng.integers(k, size=n // 3)]
+    s = {"1": 1, "mid": (k + 1) // 2, "k": k}[s_pick]
+    with mock.patch.object(anchors_mod, "NEAREST_CHUNK", chunk):
+        ids, d2 = nearest_anchors(points, anchors, s)
+    ref_ids, ref_d2 = nearest_anchors_exhaustive(points, anchors, s)
+    np.testing.assert_array_equal(ids, ref_ids)
+    assert d2.tobytes() == ref_d2.tobytes()
+
+
+def test_nearest_anchors_rejects_bad_s_and_non_finite_input():
+    anchors = np.zeros((3, 2))
+    for s in (0, 4):
+        with pytest.raises(ValueError):
+            nearest_anchors(np.zeros((1, 2)), anchors, s)
+    with pytest.raises(ValueError):
+        nearest_anchors(np.array([[np.nan, 0.0]]), anchors, 1)

@@ -370,6 +370,9 @@ def test_invalid_config_values_are_rejected(capsys, tmp_path):
     {"calib_max_iters": 2.5}, {"walk_max_iters": 1.5}, {"calib_tol": "x"}, {"bits": "48"},
     {"bits": True}, {"eval_ks": [1, "5"]}, {"output": 5},
     {"calib_tol": 0}, {"walk_tol": -1e-3}, {"calib_max_iters": 0}, {"walk_max_iters": 0},
+    {"seed": -1}, {"n_train": -5}, {"n_query": -2}, {"queries_per_run": -2}, {"itq_iters": -1},
+    {"synth_clusters": 0}, {"synth_per_cluster": 0}, {"synth_views": 0}, {"synth_dim": 0},
+    {"synth_noise": -0.1},
 ])
 def test_config_value_of_wrong_type_or_range_is_an_error(capsys, tmp_path, bad):
     data = _synth(capsys, tmp_path / "data")

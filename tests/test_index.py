@@ -1,6 +1,10 @@
 """Tests for the multi-view index build and the on-disk bundle format."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,3 +163,43 @@ def test_wrong_format_or_version_is_rejected(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError):
         load_bundle(tmp_path / "bundle")
+
+
+# Builds a k-means/itq index, saves it and ranks every held-out query in both
+# modes; prints the bundle's sha256 set and a digest of the result bytes.
+_BUILD_AND_QUERY = """
+import hashlib, json, sys
+from pathlib import Path
+from mvhash import build_index, gen_synthetic, hamming_query, make_split, qrank_query, save_bundle
+ds = gen_synthetic(n_clusters=4, per_cluster=150, n_views=2, dim=32, noise=0.8, seed=7)
+split = make_split(ds.n, n_train=200, n_query=40, seed=7)
+index = build_index(ds, split, bits=32, family="itq", anchor_method="kmeans", seed=7)
+out = Path(sys.argv[1])
+save_bundle(index, out)
+digest = hashlib.sha256()
+for q in split.query:
+    for table, view in zip(index.tables, ds.views):
+        ids, dist = hamming_query(table, view.data[q], top_n=100)
+        res = qrank_query(table, view.data[q], top_n=100)
+        for arr in (ids, dist, res.ids, res.distances):
+            digest.update(arr.tobytes())
+print(json.dumps({"files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                            for p in sorted(out.iterdir())},
+                  "results": digest.hexdigest()}))
+"""
+
+
+def test_bundle_and_rankings_do_not_depend_on_blas_threads(tmp_path):
+    # qsrf is left out: candidate_embedding's matmul distances still depend
+    # on the thread count (ROADMAP item 2, its query half).
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _BUILD_AND_QUERY, str(tmp_path / threads)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0]["files"] == runs[1]["files"]
+    assert runs[0]["results"] == runs[1]["results"]

@@ -1,4 +1,4 @@
-"""The package's top-level names and its single bit-unpacking function."""
+"""The package's top-level names and the operations that must have a single site."""
 
 import ast
 import re
@@ -26,8 +26,8 @@ def test_every_exported_name_is_imported_somewhere():
     assert sorted(set(mvhash.__all__) - imported) == []
 
 
-def _unpackbits_sites(path: Path) -> set:
-    """'file:function' for every reference to unpackbits; '<module>' outside functions."""
+def _sites(path: Path, matches) -> set:
+    """'file:function' for every AST node that matches; '<module>' outside functions."""
     tree = ast.parse(path.read_text())
     owner = {}
     for func in ast.walk(tree):  # outer functions come first, so the innermost one wins
@@ -35,10 +35,32 @@ def _unpackbits_sites(path: Path) -> set:
             for node in ast.walk(func):
                 owner[node] = func.name
     return {f"{path.name}:{owner.get(node, '<module>')}" for node in ast.walk(tree)
-            if (isinstance(node, ast.Attribute) and node.attr == "unpackbits")
-            or (isinstance(node, ast.alias) and node.name == "unpackbits")}
+            if matches(node)}
+
+
+def _src_sites(matches) -> set:
+    return set().union(*(_sites(p, matches) for p in sorted(SRC.rglob("*.py"))))
+
+
+def _names(node, name: str) -> bool:
+    return ((isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name == name))
 
 
 def test_unpackbits_is_called_from_one_function():
-    sites = set().union(*(_unpackbits_sites(p) for p in sorted(SRC.rglob("*.py"))))
-    assert sites == {"hashing.py:unpack_bits"}
+    assert _src_sites(lambda node: _names(node, "unpackbits")) == {"hashing.py:unpack_bits"}
+
+
+def _sorts_along_an_axis(node) -> bool:
+    """A sort or argsort call given an axis, by keyword or as np.sort(a, axis)."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("sort", "argsort")
+            and (any(kw.arg == "axis" for kw in node.keywords) or len(node.args) > 1))
+
+
+def test_row_wise_nearest_selection_has_one_site():
+    """Rows' s smallest entries come from anchors.smallest_per_row only; the
+    one other lexsort is fuse_rankings' final (score, id) order."""
+    assert _src_sites(_sorts_along_an_axis) == set()
+    assert _src_sites(lambda node: _names(node, "lexsort")) == {
+        "anchors.py:smallest_per_row", "fusion.py:fuse_rankings"}
