@@ -28,6 +28,7 @@ BITS_PRESETS = (48, 96)
 DEFAULT_ANCHORS = 300
 DEFAULT_TOP_CANDIDATES = 1000
 DEFAULT_ALPHA = 0.85
+GAMMA_MAX = float(np.log(np.finfo(np.float64).max)) / 2  # calibration's M reaches e^(2 gamma)
 DEFAULT_RESTART_MASS = 0.99
 DEFAULT_RUNS = 10
 DEFAULT_QUERY_K = 10
@@ -111,8 +112,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise CliError("need anchors >= 1 and 1 <= s_nn <= anchors")
     if not (1 <= cfg.landmarks <= cfg.anchors):
         raise CliError("need 1 <= landmarks <= anchors")
-    if not (cfg.gamma >= 0 and cfg.lam > 0):
-        raise CliError("need gamma >= 0 and lambda > 0")
+    if not (0 <= cfg.gamma <= GAMMA_MAX and cfg.lam > 0):  # NaN fails too
+        raise CliError(f"need 0 <= gamma <= {GAMMA_MAX!r} and lambda > 0")
     if not (0.0 < cfg.alpha < 1.0):
         raise CliError("alpha must be in (0, 1)")
     if not (0.0 < cfg.restart_mass < 1.0):
@@ -287,9 +288,9 @@ def _rank(index, views, vectors, modes, cfg: RunConfig, calibrate: bool, depth: 
     most `depth` long. vectors[i] is the query in view views[i]. Each view is
     ranked once by qrank, and the qsrf row fuses those same rankings.
 
-    Also returns row label -> {rate name: 1.0 if the row's iterative solver
-    (qrank's calibration, qsrf's walk) stopped at its cap, else 0.0}."""
-    rows, capped, rankings = {}, {}, []
+    Also returns row label -> solver stats: 1.0 if the row's iterative solver
+    (qrank's calibration, qsrf's walk) stopped at its cap, else 0.0; qrank adds its steps."""
+    rows, solver, rankings = {}, {}, []
     qparams = QueryParams(gamma=cfg.gamma, n_landmarks=cfg.landmarks, calib_tol=cfg.calib_tol,
                           calib_max_iters=cfg.calib_max_iters, calibrate=calibrate)
     qrank_depth = max(depth if "qrank" in modes else 1,
@@ -302,16 +303,17 @@ def _rank(index, views, vectors, modes, cfg: RunConfig, calibrate: bool, depth: 
             res = qrank_query(table, x, qparams, top_n=qrank_depth)
             rows[_row("qrank", v)] = (res.ids[:depth], res.distances[:depth])
             if res.calibration is not None:
-                capped[_row("qrank", v)] = {
-                    "calibration_nonconverged_frac": float(not res.calibration.converged)}
+                solver[_row("qrank", v)] = {
+                    "calibration_nonconverged_frac": float(not res.calibration.converged),
+                    "calibration_iterations": float(res.calibration.iterations)}
             rankings.append(res)
     if "qsrf" in modes:
         res = fuse_rankings(index.tables, rankings, QsrfParams(
             top_n=cfg.top_candidates, alpha=cfg.alpha, restart_mass=cfg.restart_mass,
             walk_tol=cfg.walk_tol, walk_max_iters=cfg.walk_max_iters, query=qparams))
         rows["qsrf"] = (res.ids[:depth], res.scores[:depth])
-        capped["qsrf"] = {"walk_nonconverged_frac": float(not res.walk.converged)}
-    return rows, capped
+        solver["qsrf"] = {"walk_nonconverged_frac": float(not res.walk.converged)}
+    return rows, solver
 
 
 def cmd_query(args) -> int:
@@ -391,13 +393,13 @@ def cmd_eval(args) -> int:
         acc: dict[str, dict[str, list]] = {m: {} for m in modes}
         for q in qids:
             q = int(q)
-            ranked, capped = _rank(index, views, [v.data[q] for v in ds.views], bases, cfg,
+            ranked, solver = _rank(index, views, [v.data[q] for v in ds.views], bases, cfg,
                                    True, depth)
             n_ranked += 1
             for mode in modes:
                 ids = ranked[mode][0]
-                rates = capped.get(mode, {})
-                for name, val in {**ranking_metrics(ids, gt[q], ks, depth), **rates}.items():
+                stats = solver.get(mode, {})
+                for name, val in {**ranking_metrics(ids, gt[q], ks, depth), **stats}.items():
                     acc[mode].setdefault(name, []).append(val)
                 pr = np.asarray(pr_curve(ids, gt[q])).T  # ids holds at most depth items
                 if mode not in pr_sums:
@@ -419,7 +421,7 @@ def cmd_eval(args) -> int:
         for mode in modes:
             for name, stats in summary[mode].items():
                 if "@" not in name:
-                    continue  # a solver's non-convergence rate: metrics.json only
+                    continue  # a solver statistic: metrics.json only
                 metric, k = name.rsplit("@", 1)
                 fh.write(f"{mode},{metric},{k},{stats['mean']:.6f},{stats['stddev']:.6f}\n")
 

@@ -3,8 +3,8 @@
 Offline, each table stores an independence matrix built from pairwise mutual
 information between bits on the training split. Online, a query gets raw
 per-bit weights from how well each bit preserves its anchor neighborhood,
-calibration redistributes mass away from redundant bits via replicator
-dynamics on the simplex, and the database is ranked by weighted Hamming
+calibration redistributes mass away from redundant bits by maximizing a
+quadratic form on the simplex, and the database is ranked by weighted Hamming
 distance under the calibrated weights.
 """
 
@@ -26,7 +26,6 @@ MAGIC_INDEP = b"MVHI"
 
 MI_SMOOTHING = 0.25
 WEIGHT_FLOOR = 1e-12
-CALIB_BLOCK = 64  # replicator steps per stop test in `calibrate`
 
 # bit b of byte value v, little-endian within the byte: (256, 8) of 0/1
 _BYTE_BITS = unpack_bits(PackedCodes(np.arange(256, dtype=np.uint64)[:, None], 8))
@@ -182,25 +181,31 @@ def calibrate(
     max_iters: int = 1000,
     record_iterates: bool = False,
 ) -> CalibrationResult:
-    """Replicator dynamics for pi maximizing pi^T M pi with M_ij = w_i a_ij w_j.
+    """Infection-immunization dynamics for pi maximizing pi^T M pi, M_ij = w_i a_ij w_j.
 
-    Starts from the uniform simplex point and iterates
-    pi <- (pi o M pi) / (pi^T M pi) until the l1 change drops below tol or
-    max_iters is hit. Returns pi and the floored calibrated weights w o pi.
-    An all-zero M yields the uniform pi with a warning.
+    Starts from the uniform simplex point. With payoffs g = M pi and
+    obj = pi^T g, each step takes the vertex k that violates optimality most:
+    the largest g_k - obj over all k (infection: move towards e_k) or the
+    largest obj - g_k over the support (immunization: move away from e_k, at
+    most until pi_k = 0, which is then set exactly). Along pi + t (e_k - pi)
+    the objective is obj + 2 t r + t^2 q, r = g_k - obj, q = m_kk - 2 g_k + obj;
+    the step takes its exact maximizer over the allowed t and updates g in
+    O(B) (Rota Bulo, Pelillo & Bomze, CVIU 2011). It stops, converged, once
+    the largest violation is below tol * obj, else after max_iters steps; the
+    test is relative, so calibrating 2^j w gives the same pi bit for bit.
 
-    The stop test runs once per block of CALIB_BLOCK steps, over every step of
-    the block, and the result ends at the block's first step that passes it.
-    Each step does the same float operations in the same order as a loop
-    testing every step, so the result equals that loop's bit for bit. Working
-    memory is one (CALIB_BLOCK + 1, B) buffer whatever max_iters is.
+    Returns pi and the floored calibrated weights w o pi. An all-zero M yields
+    the uniform pi with a warning; a non-finite M is a ValueError.
     """
     w = np.asarray(raw, dtype=np.float64)
     if np.any(w <= 0):
         raise ValueError("raw weights must be positive")
     amat = a.a if isinstance(a, IndependenceMatrix) else np.asarray(a, dtype=np.float64)
     b = len(w)
-    m = amat * np.outer(w, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = amat * np.outer(w, w)
+    if not np.isfinite(m).all():
+        raise ValueError("calibration matrix w_i a_ij w_j is not finite; raw weights too large")
     pi = np.full(b, 1.0 / b)
     g = m @ pi
     obj = float(pi @ g)
@@ -212,41 +217,34 @@ def calibrate(
                                  iterates=[pi.copy()] if record_iterates else None)
     objectives = [obj]
     iterates = [pi.copy()] if record_iterates else None
-    # Steps run CALIB_BLOCK at a time. Step j of a block reads row j - 1 of
-    # buf and objs and writes row j of both, through views made once here, so
-    # a step is four NumPy calls; ndarray.dot gives the same bits as `m @ pi`
-    # and `pi @ g` (the tests check this) at less call overhead. The l1 stop
-    # test then runs once over the block's steps, and the steps after the
-    # first one that passes it are dropped.
-    buf = np.empty((CALIB_BLOCK + 1, b))
-    objs = np.empty(CALIB_BLOCK + 1)
-    buf[0], objs[0] = pi, obj
-    rows, obj_views = list(buf), [objs[j, ...] for j in range(CALIB_BLOCK + 1)]
-    converged = False
-    iters = steps = 0
-    while iters < max_iters:
-        n = min(CALIB_BLOCK, max_iters - iters)
-        for j in range(1, n + 1):
-            nxt = rows[j]
-            np.multiply(rows[j - 1], g, nxt)
-            np.divide(nxt, obj_views[j - 1], nxt)
-            m.dot(nxt, g)
-            nxt.dot(g, obj_views[j])
-            if objs[j] == 0.0:
-                n = j
-                break
-        deltas = np.add.reduce(np.abs(buf[1:n + 1] - buf[:n]), axis=1)
-        hit = np.flatnonzero(deltas < tol)
-        converged = hit.size > 0
-        steps = int(hit[0]) + 1 if converged else n
-        objectives.extend(objs[1:steps + 1].tolist())
-        if record_iterates:
-            iterates.extend(row.copy() for row in rows[1:steps + 1])
-        iters += steps
-        if converged or objs[n] == 0.0:
+    rows, diag = list(m), m.diagonal().tolist()
+    off, gs = np.zeros(b), np.empty(b)  # off: 0 on the support of pi, inf off it
+    iters = 0
+    while True:
+        i = int(g.argmax())
+        np.add(g, off, gs)
+        j = int(gs.argmin())
+        up, down = g.item(i) - obj, obj - g.item(j)
+        converged = max(up, down) < tol * obj
+        if converged or iters == max_iters:
             break
-        buf[0], objs[0] = buf[n], objs[n]
-    pi = buf[steps].copy()
+        pk = pi.item(j)
+        away = down > up and pk < 1.0  # pi_j = 1 leaves no room to move away
+        k, lo, hi, r = (j, -pk / (1.0 - pk), 0.0, -down) if away else (i, 0.0, 1.0, up)
+        gk = g.item(k)
+        # -q / 2: halved terms keep every intermediate within max(M)
+        h = 0.5 * (gk - diag[k]) + 0.5 * r
+        t = min(max(0.5 * r / h, lo), hi) if h > 0.0 else (hi if r > 0.0 else lo)
+        pi *= 1.0 - t
+        g += t * (rows[k] - g)
+        if t == 1.0:
+            off.fill(np.inf)  # pi is e_k now
+        pi[k], off[k] = (0.0, np.inf) if away and t <= lo else (pi.item(k) + t, 0.0)
+        obj = float(pi.dot(g))
+        objectives.append(obj)
+        if record_iterates:
+            iterates.append(pi.copy())
+        iters += 1
     calibrated = np.maximum(w * pi, WEIGHT_FLOOR)
     return CalibrationResult(pi=pi, calibrated=calibrated, objectives=objectives,
                              iterations=iters, converged=converged, iterates=iterates)

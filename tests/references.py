@@ -61,8 +61,10 @@ def mutual_information(codes, i, j, smoothing=MI_SMOOTHING):
 
 
 def calibrate_per_step(raw, a, tol=1e-8, max_iters=1000, record_iterates=False):
-    """Replicator dynamics on pi' M pi, M_ij = w_i a_ij w_j, with the l1 stop
-    test after every step: the loop `qrank.calibrate` must reproduce bit for bit."""
+    """The paper's calibration: replicator dynamics pi <- (pi o M pi) / (pi^T M pi)
+    on pi^T M pi, M_ij = w_i a_ij w_j, from the uniform pi, stopping once a
+    step's l1 change is below tol or after max_iters steps. `qrank.calibrate`
+    solves the same program by another method; the tests compare the two."""
     w = np.asarray(raw, dtype=np.float64)
     amat = a.a if isinstance(a, IndependenceMatrix) else np.asarray(a, dtype=np.float64)
     b = len(w)

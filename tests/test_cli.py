@@ -304,9 +304,26 @@ def test_eval_reports_solver_nonconvergence_rates(capsys, tmp_path):
     capped = {"mean": 1.0, "stddev": 0.0, "runs": [1.0, 1.0]}
     for v in (0, 1):
         assert modes[f"qrank:view{v}"]["calibration_nonconverged_frac"] == capped
+        assert modes[f"qrank:view{v}"]["calibration_iterations"] == capped
         assert not any("nonconverged" in name for name in modes[f"hamming:view{v}"])
     assert modes["qsrf"]["walk_nonconverged_frac"] == capped
     assert "nonconverged" not in (tmp_path / "eval" / "metrics.csv").read_text()
+
+
+def test_eval_calibrations_converge_at_the_defaults(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle")
+    code, _, _ = _run(capsys, [
+        "eval", "--bundle", str(tmp_path / "bundle"),
+        "--view", data["views"][0], "--view", data["views"][1],
+        "--labels", data["labels"], "--runs", "2", "--queries-per-run", "10",
+        "--modes", "qrank", "--out-dir", str(tmp_path / "eval"),
+    ])
+    assert code == 0
+    modes = json.loads((tmp_path / "eval" / "metrics.json").read_text())["modes"]
+    for v in (0, 1):
+        assert modes[f"qrank:view{v}"]["calibration_nonconverged_frac"]["runs"] == [0.0, 0.0]
+        assert 0 < modes[f"qrank:view{v}"]["calibration_iterations"]["mean"] < 1000
 
 
 def test_eval_single_view_omits_qsrf(capsys, tmp_path):
@@ -372,7 +389,7 @@ def test_invalid_config_values_are_rejected(capsys, tmp_path):
     {"calib_tol": 0}, {"walk_tol": -1e-3}, {"calib_max_iters": 0}, {"walk_max_iters": 0},
     {"seed": -1}, {"n_train": -5}, {"n_query": -2}, {"queries_per_run": -2}, {"itq_iters": -1},
     {"synth_clusters": 0}, {"synth_per_cluster": 0}, {"synth_views": 0}, {"synth_dim": 0},
-    {"synth_noise": -0.1},
+    {"synth_noise": -0.1}, {"gamma": 355}, {"gamma": float("inf")},
 ])
 def test_config_value_of_wrong_type_or_range_is_an_error(capsys, tmp_path, bad):
     data = _synth(capsys, tmp_path / "data")
