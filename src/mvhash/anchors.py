@@ -18,8 +18,10 @@ from .binfile import BinaryReader
 from .hashing import HashModel, PackedCodes, encode, topk, words_per_item
 
 MAGIC_ANCHORS = b"MVHA"
-# points per screen block; freeing blocks this large lifts glibc's mmap
-# threshold above candidate_embedding's per-query arrays (no fresh page faults)
+# points per screen block. Freeing blocks this large also lifts glibc's mmap
+# threshold above the largest per-query arrays, candidate_embedding's (top_n
+# + 1) x K screen when its pivot prune keeps every anchor, as on a small
+# database, so later queries fault in no fresh pages.
 NEAREST_CHUNK = 2048
 
 SparseRow = tuple[np.ndarray, np.ndarray]  # (anchor indices, values), aligned
@@ -104,8 +106,16 @@ def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator, iters: int = 25)
 
 def smallest_per_row(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, s: int):
     """(cols, dist), each (n, s): the first s entries of every row 0..n-1 of a
-    window in (row, dist, col) order. The window must hold s entries a row."""
-    order = np.lexsort((cols, dist, rows))
+    window in (row, dist, col) order. The window must hold s entries a row
+    and list each row's entries in ascending col order, as np.nonzero does:
+    one stable sort of the integer key row * (m + 1) + (rank of dist among
+    the window's m entries, equal for equal dist) then keeps ties in col order.
+    """
+    by_dist = np.argsort(dist)
+    ranked = dist[by_dist]
+    rank = np.empty(len(dist), dtype=np.int64)
+    rank[by_dist] = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
+    order = np.argsort(rows * (len(dist) + 1) + rank, kind="stable")
     rows, cols, dist = rows[order], cols[order], dist[order]
     first = np.arange(len(rows)) - np.searchsorted(rows, rows) < s
     return cols[first].reshape(-1, s), dist[first].reshape(-1, s)

@@ -332,14 +332,23 @@ def cmd_query(args) -> int:
     mats = _read_views(args.queries, "queries view")
     _check_views(index, mats, args.queries, views, "queries view")
     results = []
+    stops = []  # (solver stat, 1.0 if that solve stopped at its cap)
     for qi in range(mats[0].shape[0]):
-        rows, _ = _rank(index, views, [mat[qi] for mat in mats], (mode,), cfg,
-                        not args.no_calibrate, args.k)
+        rows, solver = _rank(index, views, [mat[qi] for mat in mats], (mode,), cfg,
+                             not args.no_calibrate, args.k)
+        stops += [(key, val) for stats in solver.values() for key, val in stats.items()
+                  if key.endswith("nonconverged_frac")]
         ids, scores = rows[_row(mode, views[0])]
         results.append([
             {"id": int(i), "score": int(s) if mode == "hamming" else float(s)}
             for i, s in zip(ids, scores)
         ])
+    for name, stat, cap in (("calibrations", "calibration_nonconverged_frac", "calib_max_iters"),
+                            ("walks", "walk_nonconverged_frac", "walk_max_iters")):
+        flags = [val for key, val in stops if key == stat]
+        if sum(flags):
+            _log(f"query: {sum(flags):.0f} of {len(flags)} {name} stopped at "
+                 f"{cap}={getattr(cfg, cap)}")
     payload = json.dumps({"mode": mode, "k": args.k, "results": results}, indent=2)
     if args.out:
         Path(args.out).write_text(payload + "\n")

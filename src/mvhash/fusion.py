@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .anchors import SparseEmbedding, kernel_rows, smallest_per_row
 from .hashing import PackedCodes, unpack_bits
-from .qrank import HashTable, QueryParams, QRankResult, qrank_query
+from .qrank import HashTable, QueryParams, QRankResult, qrank_query, weighted_hamming_scan
 
 QUERY_VERTEX = -1
 
@@ -206,27 +206,63 @@ def candidate_embedding(
     """Truncated anchor similarities of candidates under weighted Hamming distance.
 
     Every candidate row (the query included) keeps its s_nn nearest anchors by
-    weighted Hamming distance; kept entries are exp(-d_H / sigma_h) normalized
-    to sum 1. sigma_h is sum(w*), the largest attainable weighted distance
-    (1 when that is 0). Ties on distance keep the lower anchor id.
+    the canonical ascending-bit distance E of `weighted_hamming_scan`, ties
+    to the lower anchor id, whatever the BLAS; kept entries are
+    exp(-E / sigma_h) normalized to sum 1. sigma_h is W = sum(w*), the
+    largest attainable weighted distance (1 when that is 0).
+
+    Any sum of at most B terms w*_k or 0, each exact, is within g W of the
+    exact distance D, a metric, for any summation order (g = gamma_{B-1} =
+    (B-1) u / (1 - (B-1) u), u = eps/2).
+
+    Prune: row 0 is the pivot p. With E_(s) the s_nn-th smallest E(p, a)
+    and R = max_i E(p, c_i), anchors with E(p, a) > T = fl(E_(s) + 2R +
+    8 B eps W) are dropped. For any row c, such an anchor has E(c, a) >=
+    D(p, a) - D(p, c) - g W >= E(p, a) - R - 3 g W, and each of the pivot's
+    s_nn nearest anchors a' has E(c, a') <= E_(s) + R + 3 g W. T rounds
+    down by at most 3 eps W (1 + g) and the margin by a factor (1 - g)(1 -
+    u), so T > E_(s) + 2R + 6 g W: E(c, a) > E(c, a') for s_nn anchors a',
+    and a is in no row's top s_nn, whatever the tie rule.
+
+    Screen: on the kept anchors, S = c.w + a.w - 2 (c o w).a, all in one
+    matmul of the rows [-2 c o w, c.w, 1] and [a, 1, a.w]. Its B + 2 products
+    are exact, and its entries c.w and a.w, sums of exact terms, are within
+    g C and g A of C and A. With P = (c o w).a, C + A = 2P + D and P + D <= W:
+    |S - D| <= gamma_{B+1} (2P + C + A) + g (C + A) <= (3B + 1) eps W and
+    |S - E| <= (3.5B + 0.5) eps W to first order. delta = 4 (B + 1) eps W
+    bounds it with room for second-order terms and the rounding of delta
+    and W. As in qrank.weighted_topk, each anchor of a row's exact top s_nn
+    then has S <= fl(S_(s) + 2 delta); only that window is scored with
+    `weighted_hamming_scan`.
     """
     wstar = np.asarray(wstar, dtype=np.float64)
-    sigma_h = float(wstar.sum())
-    if sigma_h <= 0:
-        sigma_h = 1.0
     if not 1 <= s_nn <= anchor_codes.n:
         raise ValueError(f"need 1 <= s_nn <= anchor count {anchor_codes.n}, got s_nn={s_nn}")
-    cand_bits = unpack_bits(PackedCodes(candidate_words, bits)).astype(np.float64)
-    anch_bits = unpack_bits(PackedCodes(anchor_codes.words, bits)).astype(np.float64)
-    # d_ij = sum_k w_k (c_ik xor a_jk) expands into two weighted matmuls
-    cw = cand_bits * wstar
-    ncw = (1.0 - cand_bits) * wstar
-    d = cw @ (1.0 - anch_bits).T + ncw @ anch_bits.T
-    # each row's entries at or below its s_nn-th smallest distance hold its top s_nn
-    kth = np.partition(d, s_nn - 1, axis=1)[:, s_nn - 1:s_nn]
-    rows, cols = np.nonzero(d <= kth)
-    indices, kept = smallest_per_row(rows, cols, d[rows, cols], s_nn)
-    return SparseEmbedding(indices=indices.astype(np.int32), values=kernel_rows(kept, sigma_h))
+    total = float(wstar.sum())
+    eps = float(np.finfo(np.float64).eps)
+    cands = PackedCodes(candidate_words, bits)
+    pivot = cands.words[0]
+    # prune: anchors too far from the pivot to reach any row's top s_nn
+    to_anchor = weighted_hamming_scan(anchor_codes, pivot, wstar)
+    radius = float(weighted_hamming_scan(cands, pivot, wstar).max())
+    kth = np.partition(to_anchor, s_nn - 1)[s_nn - 1]
+    kept = np.flatnonzero(to_anchor <= kth + 2.0 * radius + 8.0 * bits * eps * total)
+    # screen the kept anchors, then score each row's window exactly
+    cw = unpack_bits(cands) * wstar
+    ab = unpack_bits(PackedCodes(anchor_codes.words[kept], bits))
+    lhs = np.hstack([-2.0 * cw, cw.sum(axis=1)[:, None], np.ones((cands.n, 1))])
+    rhs = np.hstack([ab, np.ones((len(kept), 1)), (ab @ wstar)[:, None]])
+    screen = lhs @ rhs.T
+    top = np.partition(screen, s_nn - 1, axis=1)[:, s_nn - 1]
+    delta = 4.0 * (bits + 1) * eps * total
+    # flatnonzero and divmod take half the time of a 2-d np.nonzero here
+    rows, cols = np.divmod(np.flatnonzero(screen <= (top + 2.0 * delta)[:, None]), len(kept))
+    cols = kept[cols]
+    diff = PackedCodes(cands.words[rows] ^ anchor_codes.words[cols], bits)
+    exact = weighted_hamming_scan(diff, np.zeros_like(pivot), wstar)
+    indices, dist = smallest_per_row(rows, cols, exact, s_nn)
+    return SparseEmbedding(indices=indices.astype(np.int32),
+                           values=kernel_rows(dist, total if total > 0 else 1.0))
 
 
 def candidate_similarity(z: SparseEmbedding, n_anchors: int):
@@ -285,6 +321,8 @@ def transition_and_restart(fused: FusedGraph, alpha: float = 0.85, restart_mass:
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0, 1)")
+    if not (0.0 <= restart_mass <= 1.0):
+        raise ValueError("restart_mass must be in [0, 1]")
     nv = len(fused.vertices)
     rowsum = np.zeros(nv)
     for pos, edges in fused.parts:

@@ -97,3 +97,19 @@ def calibrate_per_step(raw, a, tol=1e-8, max_iters=1000, record_iterates=False):
     return CalibrationResult(pi=pi, calibrated=np.maximum(w * pi, WEIGHT_FLOOR),
                              objectives=objectives, iterations=iters, converged=converged,
                              iterates=iterates)
+
+
+def candidate_embedding_reference(cand, anchors, w, s_nn):
+    """`fusion.candidate_embedding` from its definition: every (row, anchor)
+    distance summed over the differing bits in ascending bit order, a stable
+    argsort per row, and kernel weights exp(-d / sum(w)) normalized to sum 1.
+    Returns (anchor ids, weights, distances), each (n, s_nn)."""
+    cb, ab = unpack_bits(cand), unpack_bits(anchors)
+    d = np.zeros((cand.n, anchors.n))
+    for k in range(cand.bits):
+        d += np.where(cb[:, None, k] != ab[None, :, k], w[k], 0.0)
+    ids = np.argsort(d, axis=1, kind="stable")[:, :s_nn]
+    kept = np.take_along_axis(d, ids, axis=1)
+    scale = w.sum() if w.sum() > 0 else 1.0
+    vals = np.maximum(np.exp(-(kept - kept[:, :1]) / scale), 1e-300)
+    return ids, vals / vals.sum(axis=1, keepdims=True), kept

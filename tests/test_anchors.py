@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from mvhash import anchors as anchors_mod
 from mvhash.anchors import (AnchorModel, build_anchors, embed, load_anchor_model,
-                            nearest_anchors, query_neighbor_profile, save_anchor_model)
+                            nearest_anchors, query_neighbor_profile, save_anchor_model,
+                            smallest_per_row)
 from mvhash.hashing import train
 from references import embed_many, nearest_anchors_exhaustive, similarity
 
@@ -251,3 +252,24 @@ def test_nearest_anchors_rejects_bad_s_and_non_finite_input():
             nearest_anchors(np.zeros((1, 2)), anchors, s)
     with pytest.raises(ValueError):
         nearest_anchors(np.array([[np.nan, 0.0]]), anchors, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 30), k=st.integers(1, 20), levels=st.integers(1, 6),
+       s_frac=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_smallest_per_row_matches_lexsort(n, k, levels, s_frac, seed):
+    # A window as np.nonzero lists it, at least s entries a row, with few
+    # distinct distances (ties within and across rows) and -0.0 beside 0.0.
+    rng = np.random.default_rng(seed)
+    s = 1 + int(s_frac * (k - 1))
+    keep = rng.random((n, k)) < 0.5
+    keep[:, :s] |= keep.sum(axis=1, keepdims=True) < s
+    rows, cols = np.nonzero(keep)
+    dist = rng.integers(0, levels, size=len(rows)) * 0.5
+    dist[(dist == 0) & (rng.random(len(rows)) < 0.5)] = -0.0
+    order = np.lexsort((cols, dist, rows))
+    firsts = [order[rows[order] == r][:s] for r in range(n)]
+    got_cols, got_dist = smallest_per_row(rows, cols, dist, s)
+    np.testing.assert_array_equal(got_cols, np.array([cols[f] for f in firsts]))
+    np.testing.assert_array_equal(got_dist.view(np.uint64),
+                                  np.array([dist[f] for f in firsts]).view(np.uint64))

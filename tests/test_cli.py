@@ -310,6 +310,32 @@ def test_eval_reports_solver_nonconvergence_rates(capsys, tmp_path):
     assert "nonconverged" not in (tmp_path / "eval" / "metrics.csv").read_text()
 
 
+def test_query_reports_solves_stopped_at_their_caps(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    qfiles = _query_files(data, tmp_path)
+    query = ["query", "--mode", "qsrf", "-k", "5", "--queries", qfiles[0], "--queries", qfiles[1]]
+    _build(capsys, data, tmp_path / "plain")
+    code, out, err = _run(capsys, query + ["--bundle", str(tmp_path / "plain")])
+    assert code == 0 and json.loads(out)["results"]
+    assert "stopped" not in err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"calib_max_iters": 1, "walk_max_iters": 1}))
+    _build(capsys, data, tmp_path / "capped", extra=["--config", str(cfg_path)])
+    code, out, err = _run(capsys, query + ["--bundle", str(tmp_path / "capped")])
+    assert code == 0
+    assert "query: 6 of 6 calibrations stopped at calib_max_iters=1" in err
+    assert "query: 3 of 3 walks stopped at walk_max_iters=1" in err
+    code, _, err_out = _run(capsys, query + ["--bundle", str(tmp_path / "capped"),
+                                             "--out", str(tmp_path / "r.json")])
+    assert code == 0 and err_out.startswith(err)
+    assert (tmp_path / "r.json").read_text() == out
+    code, _, err = _run(capsys, ["query", "--bundle", str(tmp_path / "capped"),
+                                 "--queries", qfiles[0], "--view", "0"])
+    assert code == 0
+    assert "query: 3 of 3 calibrations stopped at calib_max_iters=1" in err
+    assert "walks" not in err
+
+
 def test_eval_calibrations_converge_at_the_defaults(capsys, tmp_path):
     data = _synth(capsys, tmp_path / "data")
     _build(capsys, data, tmp_path / "bundle")

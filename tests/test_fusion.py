@@ -24,10 +24,13 @@ from mvhash import (
     qsrf_search,
     random_walk,
     transition_and_restart,
-    unpack_bits,
 )
 from mvhash.anchors import SparseEmbedding
 from mvhash.fusion import QUERY_VERTEX, CandidateGraph, FusedGraph, fuse_rankings
+from mvhash.hashing import PackedCodes
+from mvhash.qrank import WEIGHT_FLOOR
+
+from references import candidate_embedding_reference
 
 
 def _graph(vertices, weighted_edges, n=None):
@@ -108,34 +111,60 @@ def test_candidate_embedding_distance_tie_keeps_lower_anchor_id():
     assert z.indices[0, 0] == 0
 
 
-def _argsort_embedding(cand, anchors, w, s_nn):
-    """Reference: the same distances, then a stable full argsort per row."""
-    cb = unpack_bits(cand).astype(np.float64)
-    ab = unpack_bits(anchors).astype(np.float64)
-    d = (cb * w) @ (1.0 - ab).T + ((1.0 - cb) * w) @ ab.T
-    order = np.argsort(d, axis=1, kind="stable")[:, :s_nn]
-    kept = np.take_along_axis(d, order, axis=1)
-    vals = np.maximum(np.exp(-(kept - kept[:, :1]) / w.sum()), 1e-300)
-    return order, vals / vals.sum(axis=1, keepdims=True)
-
-
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(bits=st.integers(1, 70), n_anchors=st.integers(1, 40), s_nn_frac=st.floats(0, 1),
-       integer_weights=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       integer_weights=st.booleans(), floor_weights=st.booleans(), clustered=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 def test_candidate_embedding_matches_stable_argsort(bits, n_anchors, s_nn_frac,
-                                                    integer_weights, seed):
+                                                    integer_weights, floor_weights,
+                                                    clustered, seed):
     # Few bits, many anchors and integer weights force exact distance ties,
     # also at the s_nn boundary, where the lower anchor id must win.
     rng = np.random.default_rng(seed)
     s_nn = 1 + int(s_nn_frac * (n_anchors - 1))
-    anchors = pack_bits(rng.integers(0, 2, size=(n_anchors, bits)).astype(np.uint8))
-    cand = pack_bits(rng.integers(0, 2, size=(15, bits)).astype(np.uint8))
     w = (rng.integers(1, 4, size=bits).astype(np.float64) if integer_weights
          else rng.random(bits) + 0.05)
+    if floor_weights:
+        # O(1) weights beside calibration's floor: distances then differ in
+        # steps of 1e-12, where the rounding of a sum can decide a tie.
+        w[rng.random(bits) < 0.5] = WEIGHT_FLOOR
+    cand_bits = rng.integers(0, 2, size=(15, bits)).astype(np.uint8)
+    anchor_bits = rng.integers(0, 2, size=(n_anchors, bits)).astype(np.uint8)
+    far = np.zeros(n_anchors, dtype=bool)
+    if clustered:
+        # Rows and the near anchors differ from one pivot code only in the
+        # lightest bits, of total weight at most W/8; the far anchors are its
+        # complement up to those bits. So E(row 0, far) >= 7W/8 exceeds
+        # E_(s) + 2R <= 3W/8 whenever s_nn <= the near count, and the pivot
+        # prune drops every far anchor.
+        light = np.zeros(bits, dtype=np.uint8)
+        light[np.argsort(w, kind="stable")[np.cumsum(np.sort(w)) <= w.sum() / 8]] = 1
+        pivot = cand_bits[0]
+        cand_bits = pivot ^ (cand_bits & light)
+        far = rng.random(n_anchors) < 0.5
+        anchor_bits = pivot ^ far[:, None].astype(np.uint8) ^ (anchor_bits & light)
+    cand, anchors = pack_bits(cand_bits), pack_bits(anchor_bits)
     z = candidate_embedding(cand.words, anchors, bits=bits, wstar=w, s_nn=s_nn)
-    ref_idx, ref_vals = _argsort_embedding(cand, anchors, w, s_nn)
+    ref_idx, ref_vals, _ = candidate_embedding_reference(cand, anchors, w, s_nn)
     np.testing.assert_array_equal(z.indices, ref_idx)
     np.testing.assert_array_equal(z.values, ref_vals)
+    if clustered and far.any() and s_nn <= n_anchors - far.sum():
+        assert not far[ref_idx].any()
+
+
+def test_candidate_embedding_prune_margin_is_needed():
+    # Pivot (row 0) to anchors 1 and 2: 2.25 and 2.25 + 2^-51; row 1 is
+    # 2^-53 from the pivot. E_(s) + 2R = 2.25 + 2^-52 rounds to 2.25, so a
+    # prune without its rounding margin drops anchor 2, yet the rounded sums
+    # put row 1 at 2.25 from anchor 2 and 2.25 + 2^-51 from anchor 1.
+    w = np.array([2.0 ** -53, 0.25 + 2.0 ** -52, 0.25 + 2.0 ** -52, 2.0])
+    cand = PackedCodes(np.array([[12], [13]], dtype=np.uint64), 4)
+    anchors = PackedCodes(np.array([[3], [0], [7]], dtype=np.uint64), 4)
+    z = candidate_embedding(cand.words, anchors, bits=4, wstar=w, s_nn=1)
+    ref_idx, _, ref_dist = candidate_embedding_reference(cand, anchors, w, 1)
+    np.testing.assert_array_equal(ref_idx, [[1], [2]])
+    np.testing.assert_array_equal(ref_dist, [[2.25], [2.25]])
+    np.testing.assert_array_equal(z.indices, ref_idx)
 
 
 def test_candidate_embedding_rejects_s_nn_beyond_anchor_count():
@@ -310,6 +339,20 @@ def test_transition_rejects_bad_alpha_and_missing_query():
                                                         [1.0, 0.0]])))
     with pytest.raises(ValueError):
         transition_and_restart(no_query, alpha=0.85)
+
+
+def test_transition_rejects_restart_mass_outside_the_unit_interval():
+    g = _graph([-1, 1, 2], [(0, 1, 1.0), (1, 2, 1.0)])
+    for bad in (-0.5, -1e-300, 1.0 + 2**-52, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="restart_mass"):
+            transition_and_restart(fuse([g]), restart_mass=bad)
+    for mass in (0.0, 1.0):
+        restart = transition_and_restart(fuse([g]), restart_mass=mass).restart
+        assert restart.min() >= 0.0 and restart.sum() == 1.0
+    ds, split, idx = _two_view_index()
+    with pytest.raises(ValueError, match="restart_mass"):
+        qsrf_search(idx, [v.data[split.query[0]] for v in ds.views],
+                    QsrfParams(top_n=20, restart_mass=2.0))
 
 
 # --------------------------------------------------------------------- walk

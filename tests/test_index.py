@@ -165,12 +165,13 @@ def test_wrong_format_or_version_is_rejected(tmp_path):
         load_bundle(tmp_path / "bundle")
 
 
-# Builds a k-means/itq index, saves it and ranks every held-out query in both
-# modes; prints the bundle's sha256 set and a digest of the result bytes.
+# Builds a k-means/itq index, saves it and ranks every held-out query in all
+# three modes; prints the bundle's sha256 set and a digest of the result bytes.
 _BUILD_AND_QUERY = """
 import hashlib, json, sys
 from pathlib import Path
-from mvhash import build_index, gen_synthetic, hamming_query, make_split, qrank_query, save_bundle
+from mvhash import (QsrfParams, build_index, gen_synthetic, hamming_query, make_split,
+                    qrank_query, qsrf_search, save_bundle)
 ds = gen_synthetic(n_clusters=4, per_cluster=150, n_views=2, dim=32, noise=0.8, seed=7)
 split = make_split(ds.n, n_train=200, n_query=40, seed=7)
 index = build_index(ds, split, bits=32, family="itq", anchor_method="kmeans", seed=7)
@@ -183,6 +184,9 @@ for q in split.query:
         res = qrank_query(table, view.data[q], top_n=100)
         for arr in (ids, dist, res.ids, res.distances):
             digest.update(arr.tobytes())
+    fused = qsrf_search(index, [view.data[q] for view in ds.views], QsrfParams(top_n=100))
+    digest.update(fused.ids.tobytes())
+    digest.update(fused.scores.tobytes())
 print(json.dumps({"files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                             for p in sorted(out.iterdir())},
                   "results": digest.hexdigest()}))
@@ -190,8 +194,6 @@ print(json.dumps({"files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
 
 
 def test_bundle_and_rankings_do_not_depend_on_blas_threads(tmp_path):
-    # qsrf is left out: candidate_embedding's matmul distances still depend
-    # on the thread count (ROADMAP item 2, its query half).
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []
     for threads in ("1", "2"):

@@ -15,7 +15,7 @@ from mvhash.fusion import QsrfParams, qsrf_search
 from mvhash.hashing import HashModel, encode_one, hamming_scan, pack_bits, train, unpack_bits
 from mvhash.index import build_index
 from mvhash.metrics import brute_force_rank
-from mvhash.qrank import (HashTable, QueryParams, calibrate, hamming_query,
+from mvhash.qrank import (WEIGHT_FLOOR, HashTable, QueryParams, calibrate, hamming_query,
                           independence_matrix, pairwise_mutual_information, qrank_query,
                           raw_weights, weighted_hamming_scan, weighted_topk)
 from references import calibrate_per_step, embed_many, mutual_information
@@ -384,6 +384,18 @@ def test_weighted_scan_matches_per_item_definition():
     scan = weighted_hamming_scan(codes, q, w)
     for i in range(120):
         assert scan[i] == weighted_hamming(codes, i, q, w)  # bitwise equal
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_weighted_scan_blocks_equal_the_per_item_definition(monkeypatch, block):
+    rng = np.random.default_rng(9)
+    codes = pack_bits((rng.random(size=(150, 65)) < 0.5).astype(np.uint8))
+    w = rng.random(65)
+    w[rng.random(65) < 0.5] = WEIGHT_FLOOR
+    monkeypatch.setattr(qrank_module, "SCAN_BLOCK", block)
+    scan = weighted_hamming_scan(codes, codes.words[3], w)
+    assert [scan[i] for i in range(150)] == [weighted_hamming(codes, i, codes.words[3], w)
+                                             for i in range(150)]
 
 
 def test_weighted_distance_invariant_under_bit_permutation():

@@ -58,9 +58,19 @@ def _sorts_along_an_axis(node) -> bool:
             and (any(kw.arg == "axis" for kw in node.keywords) or len(node.args) > 1))
 
 
+def _stable_sort(node) -> bool:
+    """A sort or argsort call with kind="stable"."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("sort", "argsort")
+            and any(kw.arg == "kind" and getattr(kw.value, "value", None) == "stable"
+                    for kw in node.keywords))
+
+
 def test_row_wise_nearest_selection_has_one_site():
-    """Rows' s smallest entries come from anchors.smallest_per_row only; the
-    one other lexsort is fuse_rankings' final (score, id) order."""
+    """Rows' s smallest entries come from anchors.smallest_per_row only. Its
+    stable sort is one of three: topk's window sort and the oracle's full
+    sort are the others; the one lexsort is fuse_rankings' (score, id) order."""
     assert _src_sites(_sorts_along_an_axis) == set()
-    assert _src_sites(lambda node: _names(node, "lexsort")) == {
-        "anchors.py:smallest_per_row", "fusion.py:fuse_rankings"}
+    assert _src_sites(_stable_sort) == {
+        "anchors.py:smallest_per_row", "hashing.py:topk", "metrics.py:brute_force_rank"}
+    assert _src_sites(lambda node: _names(node, "lexsort")) == {"fusion.py:fuse_rankings"}
