@@ -289,7 +289,8 @@ def _rank(index, views, vectors, modes, cfg: RunConfig, calibrate: bool, depth: 
     ranked once by qrank, and the qsrf row fuses those same rankings.
 
     Also returns row label -> solver stats: 1.0 if the row's iterative solver
-    (qrank's calibration, qsrf's walk) stopped at its cap, else 0.0; qrank adds its steps."""
+    (qrank's calibration, qsrf's walk) stopped at its cap, else 0.0, and its
+    steps (calibration steps, walk operator applications)."""
     rows, solver, rankings = {}, {}, []
     qparams = QueryParams(gamma=cfg.gamma, n_landmarks=cfg.landmarks, calib_tol=cfg.calib_tol,
                           calib_max_iters=cfg.calib_max_iters, calibrate=calibrate)
@@ -312,7 +313,8 @@ def _rank(index, views, vectors, modes, cfg: RunConfig, calibrate: bool, depth: 
             top_n=cfg.top_candidates, alpha=cfg.alpha, restart_mass=cfg.restart_mass,
             walk_tol=cfg.walk_tol, walk_max_iters=cfg.walk_max_iters, query=qparams))
         rows["qsrf"] = (res.ids[:depth], res.scores[:depth])
-        solver["qsrf"] = {"walk_nonconverged_frac": float(not res.walk.converged)}
+        solver["qsrf"] = {"walk_nonconverged_frac": float(not res.walk.converged),
+                          "walk_iterations": float(res.walk.iterations)}
     return rows, solver
 
 

@@ -3,16 +3,22 @@
 Each table's top candidates (plus the query) become vertices of a graph whose
 edge weights come from inner products of truncated anchor similarities in the
 weighted Hamming space. Graphs from all tables are superposed, the weight
-matrix is row-normalized into a transition matrix, and a restart walk that
-keeps most of its mass on the query scores every candidate.
+matrix is row-normalized into a transition matrix P, and a restart walk that
+keeps most of its mass on the query scores every candidate: its visiting
+probabilities solve (I - alpha P^T) r = (1 - alpha) restart.
 
 On the query path no graph is materialised: each table's weights stay as the
-factors of its embedding, the superposition as per-table vertex positions,
-and a walk step applies them in O(candidates * s_nn).
+factors of its embedding, and the superposition as one pair of sparse factors
+over every table's candidate rows, applied in O(candidates * s_nn). The walk
+solves for r by restarted GMRES on that operator. P^T is column-stochastic, so
+||(I - alpha P^T)^-1||_1 <= 1 / (1 - alpha), and the l1 norm of the residual
+b - A r, computed from the operator, over 1 - alpha bounds the l1 error of r;
+the walk stops once that certificate is below its tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
@@ -25,6 +31,10 @@ from .hashing import PackedCodes, unpack_bits
 from .qrank import HashTable, QueryParams, QRankResult, qrank_query, weighted_hamming_scan
 
 QUERY_VERTEX = -1
+# GMRES restart length m: the Krylov basis holds at most m + 1 vectors of nv entries.
+KRYLOV_DIM = 40
+# A restart cycle that does not halve the certified residual has stagnated at rounding.
+STALL = 0.5
 
 
 @dataclass
@@ -32,39 +42,24 @@ class SimilarityFactors:
     """One graph's edge weights S = D^-1 G + G D^-1 off the diagonal, kept factored.
 
     G = Z Z^T with Z the candidates x anchors embedding, which has exactly
-    s_nn entries per row: row i's anchor ids are indices[:, i] and its weights
-    values[:, i] (slot-major, so per-row sums run over contiguous slots).
-    D = diag(lambda), lambda = Z (Z^T 1); inv_lam is 1/lambda, 0 on isolated
-    rows. `S @ y` is exact on rows without edges (their sums are exactly 0);
-    `tocsr` materialises S for oracles and diagnostics.
+    s_nn entries per row: row i's anchor ids are indices[i] and its weights
+    values[i]. D = diag(lambda), lambda = Z (Z^T 1); inv_lam is 1/lambda, 0
+    on isolated rows. `tocsr` materialises S for oracles and diagnostics.
     """
 
-    indices: np.ndarray  # (s_nn, n) anchor ids
-    values: np.ndarray   # (s_nn, n) embedding weights
+    indices: np.ndarray  # (n, s_nn) anchor ids
+    values: np.ndarray   # (n, s_nn) embedding weights
     n_anchors: int
     inv_lam: np.ndarray
 
     @property
     def shape(self) -> tuple:
-        n = self.indices.shape[1]
+        n = len(self.indices)
         return (n, n)
 
-    def _offdiag_gram(self, y: np.ndarray) -> np.ndarray:
-        """(G - diag G) y as sum_a z_ia ((Z^T y)_a - z_ia y_i).
-
-        An anchor held by row i alone contributes exactly 0, so a row that
-        shares no anchor gets an exactly zero sum.
-        """
-        zy = self.values * y
-        zty = np.bincount(self.indices.ravel(), zy.ravel(), minlength=self.n_anchors)
-        return (self.values * (zty[self.indices] - zy)).sum(axis=0)
-
-    def __matmul__(self, y: np.ndarray) -> np.ndarray:
-        return self.inv_lam * self._offdiag_gram(y) + self._offdiag_gram(self.inv_lam * y)
-
     def tocsr(self) -> sp.csr_matrix:
-        s_nn, n = self.indices.shape
-        zmat = sp.csr_matrix((self.values.T.ravel(), self.indices.T.ravel(),
+        n, s_nn = self.indices.shape
+        zmat = sp.csr_matrix((self.values.ravel(), self.indices.ravel(),
                               np.arange(0, n * s_nn + 1, s_nn)), shape=(n, self.n_anchors))
         g = (zmat @ zmat.T).tocsr()
         half = sp.diags(self.inv_lam) @ (g - sp.diags(g.diagonal()))
@@ -95,11 +90,14 @@ class FusedGraph:
     """Union graph omega = sum_m Pi_m^T S_m Pi_m, kept as its per-graph parts.
 
     parts holds, per superposed graph, the positions of its vertices in
-    `vertices` (Pi_m) and its edges. For the walk the parts are also stacked
-    into sparse factors with omega = U V^T - diag(c): a factored graph adds
-    columns U = [Pi^T D^-1 Z, Pi^T Z] and V = [Pi^T Z, Pi^T D^-1 Z] and its
-    diagonal to c; an explicit matrix E adds U = Pi^T E and V = Pi^T.
-    `rmatvec` applies omega^T with them in O(candidates * s_nn).
+    `vertices` (Pi_m) and its edges. The factored parts are stacked into one
+    operator over all their candidate rows: S_m = U_m V_m^T - diag(c_m) with
+    U_m = [D^-1 Z, Z] and V_m = [Z, D^-1 Z], each table taking its own 2K
+    columns. A row holds 2 s_nn distinct columns, so U and V share one index
+    array and differ only in their data, and c_m is the diagonal of U_m V_m^T.
+    `rmatvec` applies omega^T by a gather of x at the rows' positions, U^T, V
+    and a scatter back, in O(candidates * s_nn); explicit matrices are applied
+    as they are.
 
     transition_and_restart fills restart, alpha, inv_degree (1/row sums of
     omega, 0 on dangling rows) and dangling. `omega` and `transition` (P =
@@ -120,35 +118,70 @@ class FusedGraph:
         self.inv_degree: Optional[np.ndarray] = None
         self.dangling: Optional[np.ndarray] = None
 
-        u, v, self._c, width = [], [], np.zeros(nv), 0
-        for pos, edges in parts:
-            if isinstance(edges, SimilarityFactors):
-                z = edges.values
-                a = z * edges.inv_lam
-                rows = np.broadcast_to(pos, z.shape).ravel()
-                cols = width + edges.indices.ravel()
-                k = edges.n_anchors
-                u += [(rows, cols, a.ravel()), (rows, cols + k, z.ravel())]
-                v += [(rows, cols, z.ravel()), (rows, cols + k, a.ravel())]
-                self._c[pos] += 2.0 * (a * z).sum(axis=0)
-                width += 2 * k
-            else:
-                e = edges.tocoo()
-                u.append((pos[e.row], width + e.col, e.data))
-                v.append((pos, width + np.arange(len(pos)), np.ones(len(pos))))
-                width += len(pos)
-        self._ut = _stack_csr(u, (nv, width)).T.tocsr()
-        self._v = _stack_csr(v, (nv, width))
+        self._explicit = [(pos, sp.csr_matrix(e)) for pos, e in parts
+                          if not isinstance(e, SimilarityFactors)]
+        factored = [(pos, f) for pos, f in parts if isinstance(f, SimilarityFactors)]
+        self._pos = None
+        if not factored:
+            return
+        cols, u, v, c, width = [], [], [], [], 0
+        for _, f in factored:
+            z = f.values
+            a = z * f.inv_lam[:, None]
+            cols.append((np.hstack([f.indices, f.indices + f.n_anchors]) + width).ravel())
+            u.append(np.hstack([a, z]).ravel())
+            v.append(np.hstack([z, a]).ravel())
+            c.append(2.0 * np.einsum("ij,ij->i", a, z))
+            width += 2 * f.n_anchors
+        self._pos = np.concatenate([pos for pos, _ in factored])
+        self._c = np.concatenate(c)
+        row_len = np.repeat([2 * f.values.shape[1] for _, f in factored],
+                            [len(pos) for pos, _ in factored])
+        indptr = np.concatenate(([0], np.cumsum(row_len)))
+        cols = np.concatenate(cols)
+        shape = (len(self._pos), width)
+        self._u = sp.csr_matrix((np.concatenate(u), cols, indptr), shape=shape)
+        self._v = sp.csr_matrix((np.concatenate(v), cols, indptr), shape=shape)
+        self._ut = self._u.T  # a CSC view of the same arrays
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """omega^T @ x from the stacked factors."""
-        return self._v @ (self._ut @ x) - self._c * x
+        """omega^T @ x."""
+        nv = len(self.vertices)
+        if self._pos is not None:
+            y = x[self._pos]
+            out = np.bincount(self._pos, self._v @ (self._ut @ y) - self._c * y, minlength=nv)
+        else:
+            out = np.zeros(nv)
+        for pos, e in self._explicit:
+            out[pos] += e.T @ x[pos]
+        return out
+
+    def row_sums(self) -> np.ndarray:
+        """omega @ 1 from the operator's factors, exactly 0 on rows without edges.
+
+        A factored row sums U_ie ((V^T 1)_e - V_ie) over its entries e, which
+        leaves out its own diagonal term; an anchor no other row holds gives
+        exactly (v - v) = 0.
+        """
+        nv = len(self.vertices)
+        out = np.zeros(nv)
+        if self._pos is not None:
+            u, v = self._u, self._v
+            col_sums = np.bincount(u.indices, v.data, minlength=u.shape[1])
+            terms = u.data * (col_sums.take(u.indices) - v.data)
+            out += np.bincount(self._pos, np.add.reduceat(terms, u.indptr[:-1]), minlength=nv)
+        for pos, e in self._explicit:
+            out[pos] += e @ np.ones(len(pos))
+        return out
 
     @cached_property
     def omega(self) -> sp.csr_matrix:
-        coos = [(pos, edges.tocsr().tocoo()) for pos, edges in self.parts]
         nv = len(self.vertices)
-        return _stack_csr([(pos[e.row], pos[e.col], e.data) for pos, e in coos], (nv, nv))
+        out = sp.csr_matrix((nv, nv))
+        for pos, edges in self.parts:
+            e = edges.tocsr().tocoo()
+            out = out + sp.csr_matrix((e.data, (pos[e.row], pos[e.col])), shape=(nv, nv))
+        return out
 
     @cached_property
     def transition(self) -> sp.csr_matrix:
@@ -159,20 +192,18 @@ class FusedGraph:
         return (sp.diags(self.inv_degree) @ self.omega + uniform).tocsr()
 
 
-def _stack_csr(entries, shape) -> sp.csr_matrix:
-    """CSR matrix of the (rows, cols, data) triples in entries; duplicates add up."""
-    rows, cols, data = (np.concatenate(part) for part in zip(*entries))
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
-
-
 @dataclass
 class RankScores:
-    """Stationary visiting probabilities over the fused vertices."""
+    """Visiting probabilities over the fused vertices, and how the solve ended.
+
+    iterations counts operator applications; residual bounds the l1 error
+    ||r - r*||_1 of r against the exact walk scores r*.
+    """
 
     r: np.ndarray
     iterations: int
     converged: bool
-    history: Optional[list] = None
+    residual: float
 
 
 @dataclass
@@ -272,14 +303,13 @@ def candidate_similarity(z: SparseEmbedding, n_anchors: int):
     lambda_i = 0 get no edges and are flagged isolated. Returns
     (SimilarityFactors, isolated); S itself is never formed.
     """
-    indices = np.ascontiguousarray(z.indices.T, dtype=np.intp)
-    values = np.ascontiguousarray(z.values.T)
-    zt1 = np.bincount(indices.ravel(), values.ravel(), minlength=n_anchors)
-    lam = (values * zt1[indices]).sum(axis=0)
+    indices = z.indices.astype(np.intp)  # numpy indexes fastest with intp
+    zt1 = np.bincount(indices.ravel(), z.values.ravel(), minlength=n_anchors)
+    lam = np.einsum("ij,ij->i", z.values, zt1[indices])
     isolated = lam <= 0.0
     inv = np.zeros(z.n)
     inv[~isolated] = 1.0 / lam[~isolated]
-    return SimilarityFactors(indices, values, n_anchors, inv), isolated
+    return SimilarityFactors(z.indices, z.values, n_anchors, inv), isolated
 
 
 def build_candidate_graph(table: HashTable, table_id: int, result: QRankResult) -> CandidateGraph:
@@ -307,26 +337,24 @@ def fuse(graphs: Sequence[CandidateGraph]) -> FusedGraph:
     for gr in graphs:
         if QUERY_VERTEX not in gr.vertices:
             raise ValueError(f"graph {gr.table_id} lacks the query vertex")
-    union = np.unique(np.concatenate([gr.vertices for gr in graphs]))
-    parts = [(np.searchsorted(union, gr.vertices), gr.edges) for gr in graphs]
-    return FusedGraph(vertices=union, parts=parts)
+    union, where = np.unique(np.concatenate([gr.vertices for gr in graphs]), return_inverse=True)
+    ends = np.cumsum([len(gr.vertices) for gr in graphs])
+    return FusedGraph(vertices=union, parts=[(where[end - len(gr.vertices):end], gr.edges)
+                                             for gr, end in zip(graphs, ends)])
 
 
 def transition_and_restart(fused: FusedGraph, alpha: float = 0.85, restart_mass: float = 0.99) -> FusedGraph:
     """Fill the row normalization of omega (P = D^-1 omega, dangling rows uniform) and restart.
 
-    Row sums come from each graph's own edges; a factored graph sums a row
-    that shares no anchor to exactly 0, so dangling rows are the rows without
-    edges.
+    Row sums come from the fused operator's factors, which sum a row that
+    shares no anchor to exactly 0, so dangling rows are the rows without edges.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0, 1)")
     if not (0.0 <= restart_mass <= 1.0):
         raise ValueError("restart_mass must be in [0, 1]")
     nv = len(fused.vertices)
-    rowsum = np.zeros(nv)
-    for pos, edges in fused.parts:
-        rowsum[pos] += edges @ np.ones(len(pos))
+    rowsum = fused.row_sums()
     dangling = rowsum <= 0.0
     inv = np.zeros(nv)
     inv[~dangling] = 1.0 / rowsum[~dangling]
@@ -346,39 +374,112 @@ def transition_and_restart(fused: FusedGraph, alpha: float = 0.85, restart_mass:
     return fused
 
 
-def random_walk(
-    fused: FusedGraph,
-    tol: float = 1e-10,
-    max_iters: int = 1000,
-    record_history: bool = False,
-) -> RankScores:
-    """Iterate r <- (1-alpha) restart + alpha P^T r from r0 = restart.
+def random_walk(fused: FusedGraph, tol: float = 1e-10, max_iters: int = 1000) -> RankScores:
+    """Solve (I - alpha P^T) r = (1 - alpha) restart by restarted GMRES from r0 = restart.
 
-    P^T r = omega^T (r / rowsum) + (sum of r over dangling rows) / nv: the
-    dangling rows' uniform mass is a scalar, and omega^T is applied from the
-    fused graph's stacked factors, so a step costs O(candidates * s_nn).
+    P^T x = omega^T (x / rowsum) + (sum of x over dangling rows) / nv: the
+    dangling rows' uniform mass is a scalar, and omega^T is the fused graph's
+    operator. Arnoldi runs on P^T, whose Krylov spaces are those of A = I -
+    alpha P^T, with classical Gram-Schmidt applied twice; Givens rotations
+    give each step's least-squares residual estimate in l2.
+
+    The stop is certified: P^T is column-stochastic, so ||A^-1||_1 <= 1 /
+    (1 - alpha) and ||r - r*||_1 <= ||b - A r||_1 / (1 - alpha) = residual,
+    with b - A r applied by the operator itself. The iterate is formed and
+    its residual measured (one more application) once the estimate times
+    sqrt(nv), a bound on l1 / l2, is at most tol (1 - alpha), at the end of
+    a cycle of KRYLOV_DIM steps, and before the application that would leave
+    none for the check. A happy breakdown (a zero new basis direction) zeroes
+    the estimate, so it is checked, and it ends the cycle. A failed check
+    goes on with the measured l1 / l2 ratio in place of sqrt(nv). The walk has
+    converged once residual <= tol. A cycle that does not cut the residual
+    by STALL has stagnated at rounding, and the walk stops unconverged.
+    iterations counts operator applications, at most max_iters; the iterate
+    with the smallest residual is returned.
+
+    Each entry of a vector the solve forms (the operator, the einsum
+    combinations of basis vectors, elementwise arithmetic) is computed the
+    same way wherever it sits, so vertices with identical rows and columns
+    get bitwise-equal scores; a BLAS gemv finishes a vector with another
+    code path. Norms are einsum sums, not BLAS ddot, which OpenBLAS splits
+    between threads above about 10k entries. The basis coefficients V^T w
+    are BLAS gemv, one dot product per output; their bits were the same at
+    1 and 2 OpenBLAS threads.
     """
     if fused.restart is None:
         raise ValueError("call transition_and_restart first")
-    alpha = fused.alpha
-    restart = fused.restart
-    inv, dangling = fused.inv_degree, fused.dangling
+    alpha, restart, inv = fused.alpha, fused.restart, fused.inv_degree
+    dangling = np.flatnonzero(fused.dangling)
     nv = len(restart)
-    r = restart.copy()
-    history = [r.copy()] if record_history else None
-    converged = False
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        pt_r = fused.rmatvec(inv * r) + r[dangling].sum() / nv
-        new_r = (1.0 - alpha) * restart + alpha * pt_r
-        delta = float(np.abs(new_r - r).sum())
-        r = new_r
-        if record_history:
-            history.append(r.copy())
-        if delta < tol:
-            converged = True
-            break
-    return RankScores(r=r, iterations=iters, converged=converged, history=history)
+    b = (1.0 - alpha) * restart
+    target = tol * (1.0 - alpha)
+
+    def p_t(x):
+        out = fused.rmatvec(inv * x)
+        if len(dangling):
+            out += x[dangling].sum() / nv
+        return out
+
+    def residual_of(x):
+        r = b - x + alpha * p_t(x)
+        return r, float(np.abs(r).sum())
+
+    m = min(KRYLOV_DIM, nv)
+    basis = np.empty((m + 1, nv))
+    rmat = np.zeros((m, m))
+    x = restart.copy()
+    r, res = residual_of(x)
+    used = 1
+    best = (res, x)
+    cycle_start = math.inf
+    while res > target and used + 2 <= max_iters and res < STALL * cycle_start:
+        cycle_start = res
+        beta = math.sqrt(np.einsum("i,i->", r, r))
+        basis[0] = r / beta
+        g, cs, sn = [beta], [], []
+        ratio = math.sqrt(nv)  # bounds ||r||_1 / ||r||_2 until a check measures it
+        j = 0
+        while True:
+            v = basis[:j + 1]
+            w = p_t(basis[j])
+            used += 1
+            h = v @ w
+            w -= np.einsum("k,ki->i", h, v)
+            h2 = v @ w
+            w -= np.einsum("k,ki->i", h2, v)
+            h += h2
+            hnext = math.sqrt(np.einsum("i,i->", w, w))
+            # column j of A's Hessenberg matrix, e_j - alpha h, through the rotations
+            col = (-alpha * h).tolist()
+            col[j] += 1.0
+            for i in range(j):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            sub = -alpha * hnext
+            d = math.hypot(col[j], sub)
+            cs.append(col[j] / d)
+            sn.append(sub / d)
+            col[j] = d
+            rmat[:j + 1, j] = col
+            g.append(-sn[j] * g[j])
+            g[j] *= cs[j]
+            j += 1
+            est = abs(g[j])
+            if est * ratio <= target or j == m or used + 2 > max_iters:
+                y = np.linalg.solve(rmat[:j, :j], g[:j])
+                x_new = x + np.einsum("k,ki->i", y, basis[:j])
+                r_new, res_new = residual_of(x_new)
+                used += 1
+                if res_new < best[0]:
+                    best = (res_new, x_new)
+                if res_new <= target or est == 0.0 or j == m or used + 2 > max_iters:
+                    x, r, res = x_new, r_new, res_new
+                    break
+                ratio = res_new / est
+            basis[j] = w / hnext
+    res, x = best
+    return RankScores(r=x, iterations=used, converged=res <= target,
+                      residual=res / (1.0 - alpha))
 
 
 def closed_form_rank(fused: FusedGraph) -> RankScores:
@@ -389,7 +490,8 @@ def closed_form_rank(fused: FusedGraph) -> RankScores:
     a = np.eye(nv) - fused.alpha * fused.transition.toarray().T
     r = np.linalg.solve(a, (1.0 - fused.alpha) * fused.restart)
     r = r / r.sum()
-    return RankScores(r=r, iterations=0, converged=True)
+    residual = float(np.abs((1.0 - fused.alpha) * fused.restart - a @ r).sum()) / (1.0 - fused.alpha)
+    return RankScores(r=r, iterations=0, converged=True, residual=residual)
 
 
 def qsrf_search(

@@ -113,3 +113,21 @@ def candidate_embedding_reference(cand, anchors, w, s_nn):
     scale = w.sum() if w.sum() > 0 else 1.0
     vals = np.maximum(np.exp(-(kept - kept[:, :1]) / scale), 1e-300)
     return ids, vals / vals.sum(axis=1, keepdims=True), kept
+
+
+def power_walk(fused, tol=1e-10, max_iters=1000):
+    """The paper's walk: r <- (1 - alpha) restart + alpha P^T r from r0 =
+    restart, with P materialised, until a step's l1 change is below tol or
+    after max_iters steps. Returns (iterates, converged); iterates[0] is the
+    restart vector and iterates[-1] the scores. `fusion.random_walk` solves
+    the same linear system by GMRES; the tests compare the two."""
+    pt = fused.transition.T.tocsr()
+    alpha, restart = fused.alpha, fused.restart
+    iterates = [restart.copy()]
+    for _ in range(max_iters):
+        r = (1.0 - alpha) * restart + alpha * (pt @ iterates[-1])
+        delta = float(np.abs(r - iterates[-1]).sum())
+        iterates.append(r)
+        if delta < tol:
+            return iterates, True
+    return iterates, False

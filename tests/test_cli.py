@@ -307,6 +307,7 @@ def test_eval_reports_solver_nonconvergence_rates(capsys, tmp_path):
         assert modes[f"qrank:view{v}"]["calibration_iterations"] == capped
         assert not any("nonconverged" in name for name in modes[f"hamming:view{v}"])
     assert modes["qsrf"]["walk_nonconverged_frac"] == capped
+    assert modes["qsrf"]["walk_iterations"] == capped
     assert "nonconverged" not in (tmp_path / "eval" / "metrics.csv").read_text()
 
 

@@ -30,7 +30,7 @@ from mvhash.fusion import QUERY_VERTEX, CandidateGraph, FusedGraph, fuse_ranking
 from mvhash.hashing import PackedCodes
 from mvhash.qrank import WEIGHT_FLOOR
 
-from references import candidate_embedding_reference
+from references import candidate_embedding_reference, power_walk
 
 
 def _graph(vertices, weighted_edges, n=None):
@@ -239,8 +239,10 @@ def test_candidate_similarity_factors_match_materialised_product():
     idx = np.array([rng.choice(k, size=s_nn, replace=False) for _ in range(n)],
                    dtype=np.int32)
     s, _ = candidate_similarity(SparseEmbedding(indices=idx, values=vals), n_anchors=k)
+    fused = FusedGraph(vertices=np.arange(n), parts=[(np.arange(n), s)])
     y = rng.random(n)
-    np.testing.assert_allclose(s @ y, s.tocsr() @ y, rtol=1e-13)
+    np.testing.assert_allclose(fused.rmatvec(y), s.tocsr().T @ y, rtol=1e-13)
+    np.testing.assert_allclose(fused.row_sums(), s.tocsr() @ np.ones(n), rtol=1e-13)
     assert s.shape == (n, n)
 
 
@@ -380,21 +382,18 @@ def test_random_walk_iterates_stay_probability_vectors():
     g = CandidateGraph(table_id=0, vertices=np.arange(-1, 7),
                        edges=(mat + mat.T).tocsr())
     fused = transition_and_restart(fuse([g]), alpha=0.85)
-    scores = random_walk(fused, tol=1e-12, max_iters=5000,
-                         record_history=True)
-    assert scores.converged
-    assert len(scores.history) == scores.iterations + 1
-    for r in scores.history:
+    iterates, converged = power_walk(fused, tol=1e-12, max_iters=5000)
+    assert converged
+    for r in iterates:
         assert np.all(r >= 0)
         assert r.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_walk_step_deltas_contract_geometrically():
     fused = _two_vertex_fused(alpha=0.8)
-    scores = random_walk(fused, tol=1e-12, max_iters=10000,
-                         record_history=True)
-    hist = np.array(scores.history)
-    deltas = np.abs(np.diff(hist, axis=0)).sum(axis=1)
+    iterates, converged = power_walk(fused, tol=1e-12, max_iters=10000)
+    assert converged
+    deltas = np.abs(np.diff(np.array(iterates), axis=0)).sum(axis=1)
     nz = deltas > 0
     assert np.all(deltas[1:][nz[1:]] <= 0.8 * deltas[:-1][nz[1:]] + 1e-15)
 
@@ -414,6 +413,81 @@ def test_random_walk_requires_transition():
     g = _graph([-1, 1], [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         random_walk(fuse([g]))
+
+
+def _certificate(fused, r):
+    """||(1 - alpha) restart - (I - alpha P^T) r||_1 / (1 - alpha), P materialised."""
+    a = np.eye(len(r)) - fused.alpha * fused.transition.toarray().T
+    return np.abs((1.0 - fused.alpha) * fused.restart - a @ r).sum() / (1.0 - fused.alpha)
+
+
+def _random_graph(n, density, seed):
+    rng = np.random.default_rng(seed)
+    weights = np.triu(rng.random((n, n)), 1) * np.triu(rng.random((n, n)) < density, 1)
+    return CandidateGraph(table_id=0, vertices=np.arange(-1, n - 1),
+                          edges=sp.csr_matrix(weights + weights.T))
+
+
+def test_random_walk_single_vertex_certifies_at_once():
+    g = CandidateGraph(table_id=0, vertices=[-1], edges=sp.csr_matrix((1, 1)))
+    fused = transition_and_restart(fuse([g]), alpha=0.85)
+    walk = random_walk(fused, tol=1e-12)
+    assert walk.converged and walk.iterations == 1
+    assert walk.residual <= 1e-15
+    np.testing.assert_array_equal(walk.r, [1.0])
+
+
+def test_random_walk_on_an_all_dangling_graph_breaks_down_to_the_exact_solve():
+    # P^T x is sum(x) / nv everywhere: the Krylov space is spanned by the
+    # initial residual and the ones vector, so Arnoldi breaks down at once.
+    g = CandidateGraph(table_id=0, vertices=[-1, 3, 5, 8], edges=sp.csr_matrix((4, 4)))
+    fused = transition_and_restart(fuse([g]), alpha=0.85)
+    assert fused.dangling.all()
+    walk = random_walk(fused, tol=1e-14)
+    assert walk.converged and walk.iterations <= 4
+    closed = closed_form_rank(fused).r
+    np.testing.assert_allclose(walk.r, 0.15 * fused.restart + 0.85 / 4, rtol=1e-14)
+    assert np.abs(walk.r - closed).sum() <= walk.residual + 1e-15
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 5, 8, 1000])
+def test_random_walk_certificate_bounds_the_error_within_the_cap(max_iters):
+    fused = transition_and_restart(fuse([_random_graph(90, 0.2, 7)]), alpha=0.85)
+    walk = random_walk(fused, tol=1e-12, max_iters=max_iters)
+    assert 1 <= walk.iterations <= max_iters
+    assert walk.converged == (max_iters == 1000)
+    assert walk.residual == pytest.approx(_certificate(fused, walk.r), rel=1e-6, abs=1e-16)
+    assert np.abs(walk.r - closed_form_rank(fused).r).sum() <= walk.residual + 1e-15
+
+
+@pytest.mark.parametrize("n", [97, 563, 1601, 1602])
+def test_random_walk_gives_twin_vertices_bitwise_equal_scores_anywhere(n):
+    # Rows with one embedding have equal rows and columns in omega. Every
+    # vector the solve forms must compute their entries alike, also at the
+    # end of the vector, where BLAS kernels finish with a different code path.
+    rng = np.random.default_rng(n)
+    idx = np.array([rng.choice(300, size=4, replace=False) for _ in range(n)], dtype=np.int32)
+    vals = rng.random((n, 4))
+    vals /= vals.sum(axis=1, keepdims=True)
+    twins = [1, n // 2, n - 3, n - 2, n - 1]
+    idx[twins], vals[twins] = idx[1], vals[1]
+    sim, _ = candidate_similarity(SparseEmbedding(indices=idx, values=vals), n_anchors=300)
+    g = CandidateGraph(table_id=0, vertices=np.arange(-1, n - 1), edges=sim)
+    walk = random_walk(transition_and_restart(fuse([g])), tol=1e-12)
+    assert walk.converged
+    assert len(set(walk.r[twins].tolist())) == 1
+
+
+def test_random_walk_tolerance_below_rounding_stops_unconverged_before_the_cap():
+    ds, split, idx = _two_view_index()
+    params = QsrfParams(top_n=60, walk_tol=1e-300, query=QueryParams(n_landmarks=10))
+    res = qsrf_search(idx, [v.data[split.query[2]] for v in ds.views], params)
+    small = transition_and_restart(fuse([_random_graph(12, 0.4, 3)]), alpha=0.85)
+    for fused, walk in ((res.fused, res.walk), (small, random_walk(small, tol=1e-300))):
+        assert not walk.converged
+        assert np.isfinite(walk.residual) and 0.0 < walk.residual < 1e-13
+        assert walk.iterations < params.walk_max_iters // 4
+        assert np.abs(walk.r - closed_form_rank(fused).r).sum() <= walk.residual + 1e-15
 
 
 # -------------------------------------------------------------- closed form
@@ -538,6 +612,23 @@ def test_qsrf_search_walks_the_materialised_graph():
     np.testing.assert_array_equal(fused.dangling, rowsum <= 0.0)
     bound = params.alpha / (1.0 - params.alpha) * params.walk_tol
     assert np.abs(res.walk.r - closed_form_rank(fused).r).sum() <= bound
+
+
+def test_qsrf_order_matches_the_exact_walk_outside_certified_near_ties():
+    # |r_i - r*_i| <= walk.residual, so two candidates whose exact scores are
+    # more than 2 * residual apart keep their exact order; only chains of
+    # closer scores may reorder.
+    ds, split, idx = _two_view_index()
+    params = QsrfParams(top_n=60, query=QueryParams(n_landmarks=10))
+    for qid in split.query[:8]:
+        res = qsrf_search(idx, [v.data[qid] for v in ds.views], params)
+        assert res.walk.converged and res.walk.residual <= params.walk_tol
+        keep = res.fused.vertices != QUERY_VERTEX
+        ids, exact = res.fused.vertices[keep], closed_form_rank(res.fused).r[keep]
+        order = np.lexsort((ids, -exact))
+        group = np.concatenate(([0], np.cumsum(-np.diff(exact[order]) > 2 * res.walk.residual)))
+        group_of = dict(zip(ids[order].tolist(), group.tolist()))
+        np.testing.assert_array_equal([group_of[i] for i in res.ids.tolist()], group)
 
 
 def test_qsrf_search_rejects_view_count_mismatch():
