@@ -18,10 +18,7 @@ from .binfile import BinaryReader
 from .hashing import HashModel, PackedCodes, encode, topk, words_per_item
 
 MAGIC_ANCHORS = b"MVHA"
-# points per screen block. Freeing blocks this large also lifts glibc's mmap
-# threshold above the largest per-query arrays, candidate_embedding's (top_n
-# + 1) x K screen when its pivot prune keeps every anchor, as on a small
-# database, so later queries fault in no fresh pages.
+# points per screen block
 NEAREST_CHUNK = 2048
 
 SparseRow = tuple[np.ndarray, np.ndarray]  # (anchor indices, values), aligned
@@ -146,9 +143,11 @@ def nearest_anchors(points: np.ndarray, anchors: np.ndarray, s: int):
     <= 2 gamma_{d+2} N, so |S - E| <= 2 (d + 2) eps N to first order. delta_x
     = 4 (d + 2) (eps (|x|^2 + max |a|^2) + tiny) bounds it with a 2x margin
     for second-order terms, the computed norms, the rounding of delta_x and
-    (tiny) gradual underflow. As in qrank.weighted_topk, each anchor of the
-    exact top s then has S <= fl(S_(s) + 2 delta_x), S_(s) the row's s-th
-    smallest S; only that window is scored exactly.
+    (tiny) gradual underflow. With S_(s) the row's s-th smallest S, the s
+    anchors of smallest S have E <= S_(s) + delta_x, so the s-th smallest E
+    is at most that, and each anchor of the exact top s has S <= S_(s) +
+    2 delta_x. Rounding is monotone, so S <= fl(S_(s) + 2 delta_x) keeps
+    them all; only that window is scored exactly.
     """
     n, d = points.shape
     if not 1 <= s <= len(anchors):

@@ -35,6 +35,10 @@ QUERY_VERTEX = -1
 KRYLOV_DIM = 40
 # A restart cycle that does not halve the certified residual has stagnated at rounding.
 STALL = 0.5
+# entries per block of candidate_embedding's candidates x kept-anchors screen:
+# a block (125 KiB) stays below glibc's default 128 KiB mmap threshold, so it
+# comes from the heap whatever the process allocated before.
+SCREEN_ENTRIES = 16000
 
 
 @dataclass
@@ -237,61 +241,49 @@ def candidate_embedding(
     """Truncated anchor similarities of candidates under weighted Hamming distance.
 
     Every candidate row (the query included) keeps its s_nn nearest anchors by
-    the canonical ascending-bit distance E of `weighted_hamming_scan`, ties
-    to the lower anchor id, whatever the BLAS; kept entries are
+    weighted Hamming distance E, ties to the lower anchor id; kept entries are
     exp(-E / sigma_h) normalized to sum 1. sigma_h is W = sum(w*), the
-    largest attainable weighted distance (1 when that is 0).
-
-    Any sum of at most B terms w*_k or 0, each exact, is within g W of the
-    exact distance D, a metric, for any summation order (g = gamma_{B-1} =
-    (B-1) u / (1 - (B-1) u), u = eps/2).
+    largest attainable weighted distance (1 when that is 0). On the grid of
+    qrank.dyadic_weights, where the ranking's weights lie, every sum below is
+    exact, so E is the exact distance whatever the BLAS.
 
     Prune: row 0 is the pivot p. With E_(s) the s_nn-th smallest E(p, a)
-    and R = max_i E(p, c_i), anchors with E(p, a) > T = fl(E_(s) + 2R +
-    8 B eps W) are dropped. For any row c, such an anchor has E(c, a) >=
-    D(p, a) - D(p, c) - g W >= E(p, a) - R - 3 g W, and each of the pivot's
-    s_nn nearest anchors a' has E(c, a') <= E_(s) + R + 3 g W. T rounds
-    down by at most 3 eps W (1 + g) and the margin by a factor (1 - g)(1 -
-    u), so T > E_(s) + 2R + 6 g W: E(c, a) > E(c, a') for s_nn anchors a',
-    and a is in no row's top s_nn, whatever the tie rule.
+    and R = max_i E(p, c_i), anchors with E(p, a) > E_(s) + 2R are dropped.
+    For any row c, such an anchor has E(c, a) >= E(p, a) - E(p, c) > E_(s) +
+    R, while each of the pivot's s_nn nearest anchors a' has E(c, a') <=
+    E_(s) + R, so a is in no row's top s_nn.
 
-    Screen: on the kept anchors, S = c.w + a.w - 2 (c o w).a, all in one
-    matmul of the rows [-2 c o w, c.w, 1] and [a, 1, a.w]. Its B + 2 products
-    are exact, and its entries c.w and a.w, sums of exact terms, are within
-    g C and g A of C and A. With P = (c o w).a, C + A = 2P + D and P + D <= W:
-    |S - D| <= gamma_{B+1} (2P + C + A) + g (C + A) <= (3B + 1) eps W and
-    |S - E| <= (3.5B + 0.5) eps W to first order. delta = 4 (B + 1) eps W
-    bounds it with room for second-order terms and the rounding of delta
-    and W. As in qrank.weighted_topk, each anchor of a row's exact top s_nn
-    then has S <= fl(S_(s) + 2 delta); only that window is scored with
-    `weighted_hamming_scan`.
+    Screen: on the kept anchors, E = c.w + a.w - 2 (c o w).a, all in one
+    matmul of the rows [-2 c o w, c.w, 1] and [a, 1, a.w], in row blocks of
+    at most SCREEN_ENTRIES entries. Each row keeps its entries at or below
+    its s_nn-th smallest value.
     """
     wstar = np.asarray(wstar, dtype=np.float64)
     if not 1 <= s_nn <= anchor_codes.n:
         raise ValueError(f"need 1 <= s_nn <= anchor count {anchor_codes.n}, got s_nn={s_nn}")
     total = float(wstar.sum())
-    eps = float(np.finfo(np.float64).eps)
     cands = PackedCodes(candidate_words, bits)
     pivot = cands.words[0]
     # prune: anchors too far from the pivot to reach any row's top s_nn
     to_anchor = weighted_hamming_scan(anchor_codes, pivot, wstar)
     radius = float(weighted_hamming_scan(cands, pivot, wstar).max())
     kth = np.partition(to_anchor, s_nn - 1)[s_nn - 1]
-    kept = np.flatnonzero(to_anchor <= kth + 2.0 * radius + 8.0 * bits * eps * total)
-    # screen the kept anchors, then score each row's window exactly
-    cw = unpack_bits(cands) * wstar
+    kept = np.flatnonzero(to_anchor <= kth + 2.0 * radius)
     ab = unpack_bits(PackedCodes(anchor_codes.words[kept], bits))
+    cw = unpack_bits(cands) * wstar
     lhs = np.hstack([-2.0 * cw, cw.sum(axis=1)[:, None], np.ones((cands.n, 1))])
-    rhs = np.hstack([ab, np.ones((len(kept), 1)), (ab @ wstar)[:, None]])
-    screen = lhs @ rhs.T
-    top = np.partition(screen, s_nn - 1, axis=1)[:, s_nn - 1]
-    delta = 4.0 * (bits + 1) * eps * total
-    # flatnonzero and divmod take half the time of a 2-d np.nonzero here
-    rows, cols = np.divmod(np.flatnonzero(screen <= (top + 2.0 * delta)[:, None]), len(kept))
-    cols = kept[cols]
-    diff = PackedCodes(cands.words[rows] ^ anchor_codes.words[cols], bits)
-    exact = weighted_hamming_scan(diff, np.zeros_like(pivot), wstar)
-    indices, dist = smallest_per_row(rows, cols, exact, s_nn)
+    rhs = np.hstack([ab, np.ones((len(kept), 1)), (ab @ wstar)[:, None]]).T
+    step = max(1, SCREEN_ENTRIES // len(kept))
+    flat, vals = [], []
+    for lo in range(0, cands.n, step):
+        screen = lhs[lo:lo + step] @ rhs
+        top = np.partition(screen, s_nn - 1, axis=1)[:, s_nn - 1]
+        # flatnonzero and divmod take half the time of a 2-d np.nonzero here
+        at = np.flatnonzero(screen <= top[:, None])
+        flat.append(at + lo * len(kept))
+        vals.append(screen.ravel()[at])
+    rows, cols = np.divmod(np.concatenate(flat), len(kept))
+    indices, dist = smallest_per_row(rows, kept[cols], np.concatenate(vals), s_nn)
     return SparseEmbedding(indices=indices.astype(np.int32),
                            values=kernel_rows(dist, total if total > 0 else 1.0))
 

@@ -84,8 +84,7 @@ def pack_bits(bits01: np.ndarray) -> PackedCodes:
     if packed.shape[1] < nbytes:
         pad = np.zeros((n, nbytes - packed.shape[1]), dtype=np.uint8)
         packed = np.hstack([packed, pad])
-    words = packed.view(np.uint64)
-    return PackedCodes(words=words, bits=b)
+    return PackedCodes(words=np.ascontiguousarray(packed).view(np.uint64), bits=b)
 
 
 def unpack_bits(codes: PackedCodes) -> np.ndarray:

@@ -26,9 +26,6 @@ MAGIC_INDEP = b"MVHI"
 
 MI_SMOOTHING = 0.25
 WEIGHT_FLOOR = 1e-12
-# items per weighted_hamming_scan block: a 200k x 48-bit scan took 27 ms in
-# 8192-item blocks and 57 ms in one pass (one core of a 2-CPU Xeon)
-SCAN_BLOCK = 8192
 
 # bit b of byte value v, little-endian within the byte: (256, 8) of 0/1
 _BYTE_BITS = unpack_bits(PackedCodes(np.arange(256, dtype=np.uint64)[:, None], 8))
@@ -44,10 +41,12 @@ class IndependenceMatrix:
 
 @dataclass
 class BitWeights:
-    """Raw weights w, simplex variable pi, and calibrated weights w* = w o pi.
+    """Raw weights w, simplex variable pi, and the weights w* the ranking uses.
 
-    calibrated is floored at 1e-12 so weighted distances stay a total
-    preorder even when calibration drives some pi_k to zero.
+    calibrated holds grid weights, dyadic_weights(max(w o pi, 1e-12)), or
+    dyadic_weights(w) with calibration off: every weighted distance is then
+    exact, and every weight is positive even where calibration drives pi_k
+    to zero.
     """
 
     raw: np.ndarray
@@ -177,6 +176,28 @@ def raw_weights(
     return np.exp(gamma * agreement)
 
 
+def dyadic_weights(w: np.ndarray) -> np.ndarray:
+    """w rounded down onto a dyadic grid on which every ranking sum is exact.
+
+    With max(w) < 2^t (np.frexp) and c = ceil(log2 B), the grid step is
+    q = 2^(t - 51 + c), or 2^-1074 if that is smaller, and each weight
+    becomes max(floor(w_k / q), 1) q. Rounding down keeps max(w) in its
+    binade, so the map is idempotent and commutes with scaling by powers of
+    two; every weight stays >= q > 0.
+
+    Exactness: every weight is an integer multiple of q below 2^t = 2^(51 - c)
+    q, and every integer multiple of q up to 2^53 q is a double. So any sum of
+    multiples of q whose partial sums stay within 2^53 q is exact, in any
+    order, BLAS blocking or FMA: sums of at most B weights (below 2^51 q), a
+    pivot bound E_(s) + 2R (below 3 2^51 q), and a screen c.w + a.w -
+    2 (c o w).a, whose partials are within 4 B 2^t <= 2^53 q.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    t = int(np.frexp(w.max())[1])
+    q = np.ldexp(1.0, max(t - 51 + (len(w) - 1).bit_length(), -1074))
+    return np.maximum(np.floor(w / q), 1.0) * q
+
+
 def calibrate(
     raw: np.ndarray,
     a: Union[IndependenceMatrix, np.ndarray],
@@ -197,8 +218,9 @@ def calibrate(
     the largest violation is below tol * obj, else after max_iters steps; the
     test is relative, so calibrating 2^j w gives the same pi bit for bit.
 
-    Returns pi and the floored calibrated weights w o pi. An all-zero M yields
-    the uniform pi with a warning; a non-finite M is a ValueError.
+    Returns pi and the calibrated weights dyadic_weights(max(w o pi,
+    WEIGHT_FLOOR)). An all-zero M yields the uniform pi with a warning; a
+    non-finite M is a ValueError.
     """
     w = np.asarray(raw, dtype=np.float64)
     if np.any(w <= 0):
@@ -214,7 +236,7 @@ def calibrate(
     obj = float(pi @ g)
     if obj == 0.0:
         warnings.warn("calibration objective is zero (all-zero M); keeping uniform pi", RuntimeWarning)
-        calibrated = np.maximum(w * pi, WEIGHT_FLOOR)
+        calibrated = dyadic_weights(np.maximum(w * pi, WEIGHT_FLOOR))
         return CalibrationResult(pi=pi, calibrated=calibrated, objectives=[0.0],
                                  iterations=0, converged=True,
                                  iterates=[pi.copy()] if record_iterates else None)
@@ -248,7 +270,7 @@ def calibrate(
         if record_iterates:
             iterates.append(pi.copy())
         iters += 1
-    calibrated = np.maximum(w * pi, WEIGHT_FLOOR)
+    calibrated = dyadic_weights(np.maximum(w * pi, WEIGHT_FLOOR))
     return CalibrationResult(pi=pi, calibrated=calibrated, objectives=objectives,
                              iterations=iters, converged=converged, iterates=iterates)
 
@@ -258,62 +280,12 @@ def weighted_hamming_scan(
 ) -> np.ndarray:
     """Weighted Hamming distance from the query to every item: sum of w* over set XOR bits.
 
-    Each distance is accumulated left to right in ascending bit order. That
-    order is the distance's canonical semantics: float addition is not
-    associative, and rankings must not depend on which code path produced
-    the distance. Row k of the transposed bit matrix times w*_k is exactly
-    w*_k or +0.0 for finite w*, and a skipped bit adds an exact +0.0, so
-    adding those rows in ascending k equals a per-item loop over the set bits
-    bit for bit. Items go SCAN_BLOCK at a time, so a block's rows stay in cache.
+    Byte tables T[j][v] (ceil(B/8) x 256) hold the summed w* of the bits set
+    in byte value v of byte j; padding bits weigh 0. An item's distance is
+    the sum of T[j][x_j] over the bytes x_j of (item XOR query), ceil(B/8)
+    gathers an item. On the grid of dyadic_weights every such sum is exact,
+    so it equals the sum in any other order, ascending bit order included.
     """
-    wstar = np.asarray(wstar, dtype=np.float64)
-    q = np.asarray(query_words, dtype=np.uint64)
-    out = np.zeros(codes.n)
-    for lo in range(0, codes.n, SCAN_BLOCK):
-        x = PackedCodes(codes.words[lo:lo + SCAN_BLOCK] ^ q, codes.bits)
-        bits = np.ascontiguousarray(unpack_bits(x).T)  # one row per bit
-        acc = out[lo:lo + SCAN_BLOCK]
-        term = np.empty(len(acc))
-        for k in range(codes.bits):
-            np.multiply(bits[k], wstar[k], out=term)
-            acc += term
-    return out
-
-
-def _screen_delta(wstar: np.ndarray, bits: int) -> float:
-    """Bound on |screened - canonical| weighted distance used by weighted_topk."""
-    return 2.0 * bits * float(np.finfo(np.float64).eps) * float(np.sum(wstar))
-
-
-def weighted_topk(
-    codes: PackedCodes, query_words: np.ndarray, wstar: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k local ids by weighted Hamming distance and their distances.
-
-    Equal, ties included, to the first k entries of a stable argsort of
-    weighted_hamming_scan, at the cost of a byte-table screen plus an exact
-    scan of a small window.
-
-    Screen: byte tables T[j][v] (ceil(B/8) x 256) hold the summed w* of the
-    bits set in byte value v of byte j; padding bits weigh 0. The approximate
-    distance A of an item is the sum of T[j][x_j] over the bytes x_j of
-    (item XOR query). A and the canonical ascending-bit distance E sum the same
-    at most B nonnegative terms in different orders, so each lies within
-    gamma_{B-1} * sum(w*) of the exact real sum (gamma_m = m u / (1 - m u),
-    u = eps/2, for any summation order), and |A - E| <= 2 gamma_{B-1} sum(w*)
-    <= delta = 2 B eps sum(w*) with a 2x margin that also absorbs the
-    rounding of delta itself.
-
-    Window: let A_(k), E_(k) be the k-th smallest A and E. The k items with
-    the smallest A all have E <= A_(k) + delta, so E_(k) <= A_(k) + delta, and
-    any item with E <= E_(k) has A <= E + delta <= A_(k) + 2 delta. Rounding is
-    monotone, so the float comparison A <= fl(A_(k) + 2 delta) keeps them all.
-    The window, in ascending id order, therefore holds every item of the
-    stable top-k; weighted_hamming_scan gives its exact distances, and a
-    stable top-k of the window is the answer. Needs 1 <= k <= codes.n.
-    """
-    if not 1 <= k <= codes.n:
-        raise ValueError(f"need 1 <= k <= {codes.n}, got k={k}")
     wstar = np.asarray(wstar, dtype=np.float64)
     nbytes = (codes.bits + 7) // 8
     w = np.zeros(nbytes * 8)
@@ -322,16 +294,22 @@ def weighted_topk(
     tables = np.zeros((nbytes, 256))
     for b in range(8):
         tables += _BYTE_BITS[:, b] * w[:, b:b + 1]
-    q = np.asarray(query_words, dtype=np.uint64)
-    x = (codes.words ^ q).view(np.uint8)
-    approx = np.take(tables[0], x[:, 0])
+    x = (codes.words ^ np.asarray(query_words, dtype=np.uint64)).view(np.uint8)
+    dist = np.take(tables[0], x[:, 0])
     for j in range(1, nbytes):
-        approx += np.take(tables[j], x[:, j])
-    kth = np.partition(approx, k - 1)[k - 1]
-    window = np.flatnonzero(approx <= kth + 2.0 * _screen_delta(wstar, codes.bits))
-    exact = weighted_hamming_scan(PackedCodes(codes.words[window], codes.bits), q, wstar)
-    order = topk(exact, k)
-    return window[order], exact[order]
+        dist += np.take(tables[j], x[:, j])
+    return dist
+
+
+def weighted_topk(
+    codes: PackedCodes, query_words: np.ndarray, wstar: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k local ids by weighted Hamming distance and their distances: the
+    first k entries of a stable argsort of weighted_hamming_scan. Needs
+    1 <= k <= codes.n."""
+    dist = weighted_hamming_scan(codes, query_words, wstar)
+    order = topk(dist, k)
+    return order, dist[order]
 
 
 def _check_top_n(top_n: int) -> None:
@@ -349,8 +327,8 @@ def qrank_query(
 
     Returns the top_n database items sorted by ascending weighted distance
     (ties by ascending id), with global ids. With params.calibrate False the
-    raw weights are used as-is, which with gamma=0 reduces exactly to plain
-    Hamming ranking.
+    raw weights are put on the grid of dyadic_weights, which keeps unit
+    weights, so gamma=0 reduces exactly to plain Hamming ranking.
     """
     _check_top_n(top_n)
     w = raw_weights(table.hash_model, table.anchor_model, query,
@@ -362,7 +340,7 @@ def qrank_query(
         pi, wstar = cal.pi, cal.calibrated
     else:
         pi = np.full(len(w), 1.0 / len(w))
-        wstar = w
+        wstar = dyadic_weights(w)
     weights = BitWeights(raw=w, pi=pi, calibrated=wstar, gamma=params.gamma)
     query_words = encode_one(table.hash_model, np.asarray(query, np.float64))
     order, dist = weighted_topk(table.codes, query_words, wstar, min(top_n, table.codes.n))

@@ -25,10 +25,10 @@ from mvhash import (
     random_walk,
     transition_and_restart,
 )
+import mvhash.fusion as fusion_module
 from mvhash.anchors import SparseEmbedding
 from mvhash.fusion import QUERY_VERTEX, CandidateGraph, FusedGraph, fuse_rankings
-from mvhash.hashing import PackedCodes
-from mvhash.qrank import WEIGHT_FLOOR
+from mvhash.qrank import WEIGHT_FLOOR, dyadic_weights
 
 from references import candidate_embedding_reference, power_walk
 
@@ -119,15 +119,17 @@ def test_candidate_embedding_matches_stable_argsort(bits, n_anchors, s_nn_frac,
                                                     integer_weights, floor_weights,
                                                     clustered, seed):
     # Few bits, many anchors and integer weights force exact distance ties,
-    # also at the s_nn boundary, where the lower anchor id must win.
+    # also at the s_nn boundary, where the lower anchor id must win. The
+    # weights go onto the grid of dyadic_weights, as calibrate leaves them.
     rng = np.random.default_rng(seed)
     s_nn = 1 + int(s_nn_frac * (n_anchors - 1))
     w = (rng.integers(1, 4, size=bits).astype(np.float64) if integer_weights
          else rng.random(bits) + 0.05)
     if floor_weights:
         # O(1) weights beside calibration's floor: distances then differ in
-        # steps of 1e-12, where the rounding of a sum can decide a tie.
+        # steps of about 1e-12, far below the largest distance.
         w[rng.random(bits) < 0.5] = WEIGHT_FLOOR
+    w = dyadic_weights(w)
     cand_bits = rng.integers(0, 2, size=(15, bits)).astype(np.uint8)
     anchor_bits = rng.integers(0, 2, size=(n_anchors, bits)).astype(np.uint8)
     far = np.zeros(n_anchors, dtype=bool)
@@ -152,19 +154,19 @@ def test_candidate_embedding_matches_stable_argsort(bits, n_anchors, s_nn_frac,
         assert not far[ref_idx].any()
 
 
-def test_candidate_embedding_prune_margin_is_needed():
-    # Pivot (row 0) to anchors 1 and 2: 2.25 and 2.25 + 2^-51; row 1 is
-    # 2^-53 from the pivot. E_(s) + 2R = 2.25 + 2^-52 rounds to 2.25, so a
-    # prune without its rounding margin drops anchor 2, yet the rounded sums
-    # put row 1 at 2.25 from anchor 2 and 2.25 + 2^-51 from anchor 1.
-    w = np.array([2.0 ** -53, 0.25 + 2.0 ** -52, 0.25 + 2.0 ** -52, 2.0])
-    cand = PackedCodes(np.array([[12], [13]], dtype=np.uint64), 4)
-    anchors = PackedCodes(np.array([[3], [0], [7]], dtype=np.uint64), 4)
-    z = candidate_embedding(cand.words, anchors, bits=4, wstar=w, s_nn=1)
-    ref_idx, _, ref_dist = candidate_embedding_reference(cand, anchors, w, 1)
-    np.testing.assert_array_equal(ref_idx, [[1], [2]])
-    np.testing.assert_array_equal(ref_dist, [[2.25], [2.25]])
+@pytest.mark.parametrize("block", [1, 100, 400, 10**6])
+def test_candidate_embedding_row_blocks_equal_the_reference(monkeypatch, block):
+    # 37 rows x 50 anchors, which random 70-bit codes keep through the prune:
+    # blocks of 1, 2 and 8 rows (a short last one) and one block for all.
+    rng = np.random.default_rng(21)
+    w = dyadic_weights(rng.random(70) + WEIGHT_FLOOR)
+    cand = pack_bits(rng.integers(0, 2, size=(37, 70)).astype(np.uint8))
+    anchors = pack_bits(rng.integers(0, 2, size=(50, 70)).astype(np.uint8))
+    monkeypatch.setattr(fusion_module, "SCREEN_ENTRIES", block)
+    z = candidate_embedding(cand.words, anchors, bits=70, wstar=w, s_nn=4)
+    ref_idx, ref_vals, _ = candidate_embedding_reference(cand, anchors, w, 4)
     np.testing.assert_array_equal(z.indices, ref_idx)
+    np.testing.assert_array_equal(z.values, ref_vals)
 
 
 def test_candidate_embedding_rejects_s_nn_beyond_anchor_count():

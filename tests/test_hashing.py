@@ -38,6 +38,8 @@ def test_pack_unpack_roundtrip():
         codes = pack_bits(raw)
         assert codes.words.shape == (20, words_per_item(bits))
         np.testing.assert_array_equal(unpack_bits(codes), raw)
+        # a column-major input, as fancy indexing of columns returns
+        np.testing.assert_array_equal(unpack_bits(pack_bits(np.asfortranarray(raw))), raw)
 
 
 def test_pack_padding_bits_are_zero():

@@ -2,22 +2,22 @@
 weighted Hamming ranking."""
 
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import mvhash.qrank as qrank_module
 from mvhash.anchors import build_anchors
 from mvhash.dataset import gen_synthetic, make_split
 from mvhash.fusion import QsrfParams, qsrf_search
 from mvhash.hashing import HashModel, encode_one, hamming_scan, pack_bits, train, unpack_bits
 from mvhash.index import build_index
 from mvhash.metrics import brute_force_rank
-from mvhash.qrank import (WEIGHT_FLOOR, HashTable, QueryParams, calibrate, hamming_query,
-                          independence_matrix, pairwise_mutual_information, qrank_query,
-                          raw_weights, weighted_hamming_scan, weighted_topk)
+from mvhash.qrank import (WEIGHT_FLOOR, HashTable, QueryParams, calibrate, dyadic_weights,
+                          hamming_query, independence_matrix, pairwise_mutual_information,
+                          qrank_query, raw_weights, weighted_hamming_scan, weighted_topk)
 from references import calibrate_per_step, embed_many, mutual_information
 
 
@@ -220,8 +220,8 @@ def test_calibrate_simplex_and_objective_invariants():
         objectives = np.asarray(res.objectives)
         assert np.all(np.diff(objectives) >= -1e-12)
         assert res.converged
-        np.testing.assert_allclose(res.calibrated,
-                                   np.maximum(w * res.pi, 1e-12), rtol=1e-15)
+        np.testing.assert_array_equal(res.calibrated,
+                                      dyadic_weights(np.maximum(w * res.pi, WEIGHT_FLOOR)))
 
 
 def test_calibrate_zero_matrix_returns_uniform_with_warning():
@@ -290,7 +290,8 @@ def test_calibrate_certifies_its_stop_on_the_simplex(case):
         assert pi.sum() == pytest.approx(1.0, abs=1e-9)
     objectives = np.asarray(res.objectives)
     assert np.all(np.diff(objectives) >= -1e-12 * np.abs(objectives[1:]))
-    np.testing.assert_array_equal(res.calibrated, np.maximum(w * res.pi, 1e-12))
+    np.testing.assert_array_equal(res.calibrated,
+                                  dyadic_weights(np.maximum(w * res.pi, WEIGHT_FLOOR)))
     if res.converged:
         # Payoffs recomputed from pi; the solver's own g differs by rounding.
         g = (a * np.outer(w, w)) @ res.pi
@@ -379,23 +380,11 @@ def test_weighted_scan_matches_per_item_definition():
     rng = np.random.default_rng(7)
     bits = (rng.random(size=(120, 33)) < 0.5).astype(np.uint8)
     codes = pack_bits(bits)
-    w = rng.random(33)
+    w = dyadic_weights(rng.random(33))
     q = codes.words[11]
     scan = weighted_hamming_scan(codes, q, w)
     for i in range(120):
         assert scan[i] == weighted_hamming(codes, i, q, w)  # bitwise equal
-
-
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_weighted_scan_blocks_equal_the_per_item_definition(monkeypatch, block):
-    rng = np.random.default_rng(9)
-    codes = pack_bits((rng.random(size=(150, 65)) < 0.5).astype(np.uint8))
-    w = rng.random(65)
-    w[rng.random(65) < 0.5] = WEIGHT_FLOOR
-    monkeypatch.setattr(qrank_module, "SCAN_BLOCK", block)
-    scan = weighted_hamming_scan(codes, codes.words[3], w)
-    assert [scan[i] for i in range(150)] == [weighted_hamming(codes, i, codes.words[3], w)
-                                             for i in range(150)]
 
 
 def test_weighted_distance_invariant_under_bit_permutation():
@@ -508,9 +497,8 @@ def _identity_table(bits01: np.ndarray) -> HashTable:
 @st.composite
 def _ranking_cases(draw):
     """Codes drawn from a pool of at most 4 distinct rows, so many duplicates
-    share the k-th distance, and w* spanning 1e-12..1e3. Random draws rarely
-    round a screened distance across the k-th one; the margin test below
-    builds that case by hand."""
+    share the k-th distance, and raw weights spanning 1e-12..1e3, which
+    qrank_query puts on the dyadic grid."""
     bits = draw(st.sampled_from([1, 63, 64, 65, 128]))
     n = draw(st.integers(2, 120))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -534,6 +522,8 @@ def test_topk_paths_match_oracle_and_full_stable_argsort(case):
 
     with mock.patch("mvhash.qrank.raw_weights", return_value=wstar):
         res = qrank_query(table, query, QueryParams(calibrate=False), top_n=top_n)
+    wstar = res.weights.calibrated
+    np.testing.assert_array_equal(wstar, dyadic_weights(wstar))
     full = weighted_hamming_scan(table.codes, res.query_words, wstar)
     oracle = brute_force_rank(table.codes, res.query_words, "weighted_hamming", k,
                               weights=wstar)
@@ -550,23 +540,57 @@ def test_topk_paths_match_oracle_and_full_stable_argsort(case):
     np.testing.assert_array_equal(dists, hfull[horacle])
 
 
-def test_weighted_topk_window_margin_is_needed(monkeypatch):
-    # Items 0 and 1 both have the canonical distance 1.0: for item 0,
-    # 1 + 2**-53 rounds back to 1, twice. The byte tables first add bits 8
-    # and 9 to 2**-52, so item 0 screens at 1 + 2**-52 while item 1 screens
-    # at 1. Only the 2 * delta margin keeps item 0, the stable top-1, in the
-    # window.
-    w = np.ones(16)
-    w[8] = w[9] = 2.0 ** -53
-    bits = np.zeros((2, 16), dtype=np.uint8)
-    bits[:, 0] = 1
-    bits[0, [8, 9]] = 1
-    codes = pack_bits(bits)
-    q = np.zeros(1, dtype=np.uint64)
-    np.testing.assert_array_equal(weighted_hamming_scan(codes, q, w), [1.0, 1.0])
-    order, dist = weighted_topk(codes, q, w, 1)
-    assert order.tolist() == [0] and dist.tolist() == [1.0]
+def test_qrank_distances_are_exact_sums_of_the_grid_weights():
+    # Real sums tie at 1 + 2^-52, but the ascending float sums do not: item
+    # 1's 1 + 2^-53 + 2^-53 rounds to 1. On the grid (q = 2^-48 here, so the
+    # small weights all become q) both sums are exact, and the order is a
+    # stable sort of the exact sums.
+    w = np.array([2.0**-52, 1.0, 2.0**-53, 2.0**-53])
+    table = _identity_table(np.array([[1, 1, 0, 0], [0, 1, 1, 1]], dtype=np.uint8))
+    with mock.patch("mvhash.qrank.raw_weights", return_value=w):
+        res = qrank_query(table, -np.ones(4), QueryParams(calibrate=False), top_n=2)
+    wstar = [Fraction(x) for x in res.weights.calibrated]
+    exact = [wstar[0] + wstar[1], wstar[1] + wstar[2] + wstar[3]]
+    assert [Fraction(d) for d in res.distances] == [exact[i] for i in res.local_ids]
+    assert res.local_ids.tolist() == sorted(range(2), key=lambda i: exact[i])
 
-    monkeypatch.setattr(qrank_module, "_screen_delta", lambda wstar, bits: 0.0)
-    order, _ = weighted_topk(codes, q, w, 1)
-    assert order.tolist() == [1]
+
+# Weights as calibrate and qrank_query pass them: some may be 0 or tiny, not all 0.
+_weights = st.lists(st.floats(0.0, 1e6, allow_subnormal=False), min_size=1,
+                    max_size=130).filter(lambda ws: max(ws) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weights, st.integers(-3, 3))
+def test_dyadic_weights_is_an_idempotent_scale_equivariant_grid(raw, j):
+    w = np.array(raw)
+    grid = dyadic_weights(w)
+    assert grid.tobytes() == dyadic_weights(grid).tobytes()
+    assert dyadic_weights(2.0**j * w).tobytes() == (2.0**j * grid).tobytes()
+    t = int(np.frexp(w.max())[1])
+    q = 2.0 ** (t - 51 + (len(w) - 1).bit_length())
+    assert np.all(grid >= q) and np.all(grid / q == np.floor(grid / q))
+    assert np.all(grid <= np.maximum(w, q))
+    assert np.frexp(grid.max())[1] == t
+    np.testing.assert_array_equal(dyadic_weights(np.ones(len(w))), np.ones(len(w)))
+    # q is at least the smallest double, so subnormal weights stay finite
+    np.testing.assert_array_equal(dyadic_weights(np.array([2.0**-1060, 0.0])),
+                                  [2.0**-1060, 2.0**-1074])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 130), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e6, 1e12]))
+def test_grid_weights_sum_exactly_in_any_bit_order(bits, seed, spread):
+    # The scan sums byte tables; the oracle and the per-item reference add
+    # bit by bit in ascending order. On the grid, permuting the bits, and so
+    # the order of every sum, changes no distance bit.
+    rng = np.random.default_rng(seed)
+    w = dyadic_weights(np.exp(rng.uniform(-np.log(spread), 0.0, bits)))
+    rows = (rng.random((40, bits)) < 0.5).astype(np.uint8)
+    perm = rng.permutation(bits)
+    codes, codes_p = pack_bits(rows), pack_bits(rows[:, perm])
+    ascending = np.array([weighted_hamming(codes, i, codes.words[0], w) for i in range(40)])
+    scan_p = weighted_hamming_scan(codes_p, codes_p.words[0], w[perm])
+    assert scan_p.tobytes() == ascending.tobytes()
+    oracle = brute_force_rank(codes, codes.words[0], "weighted_hamming", 40, weights=w)
+    np.testing.assert_array_equal(oracle, np.argsort(scan_p, kind="stable"))

@@ -74,3 +74,14 @@ def test_row_wise_nearest_selection_has_one_site():
     assert _src_sites(_stable_sort) == {
         "anchors.py:smallest_per_row", "hashing.py:topk", "metrics.py:brute_force_rank"}
     assert _src_sites(lambda node: _names(node, "lexsort")) == {"fusion.py:fuse_rankings"}
+
+
+def test_weighted_hamming_distance_has_one_kernel():
+    """The byte tables are read by weighted_hamming_scan alone, and no rounding
+    margin (a multiple of machine epsilon) is left beside it: on the grid of
+    qrank.dyadic_weights every weighted sum is exact."""
+    reads = _src_sites(lambda node: isinstance(node, ast.Name) and node.id == "_BYTE_BITS"
+                       and isinstance(node.ctx, ast.Load))
+    assert reads == {"qrank.py:weighted_hamming_scan"}
+    for name in ("qrank.py", "fusion.py"):
+        assert _sites(SRC / "mvhash" / name, lambda node: _names(node, "eps")) == set()
