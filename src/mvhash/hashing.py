@@ -188,21 +188,29 @@ def encode_one(model: HashModel, x: np.ndarray) -> np.ndarray:
 
 
 def hamming_scan(codes: PackedCodes, query_words: np.ndarray) -> np.ndarray:
-    """Hamming distance from the query code to every item, as an int array."""
-    x = codes.words ^ np.asarray(query_words, dtype=np.uint64)
-    return np.bitwise_count(x).sum(axis=1).astype(np.int64)
+    """Hamming distance from the query code to every item, in the narrowest
+    unsigned dtype that holds codes.bits (uint8 below 256 bits). A query of
+    other than words_per_item(codes.bits) words is a ValueError."""
+    x = codes.words ^ PackedCodes(np.asarray(query_words, dtype=np.uint64)[None], codes.bits).words
+    return np.bitwise_count(x).sum(axis=1, dtype=np.min_scalar_type(codes.bits))
 
 
 def topk(dist: np.ndarray, k: int) -> np.ndarray:
     """np.argsort(dist, kind="stable")[:k] without sorting all of dist.
 
-    np.partition finds the k-th smallest value; every entry at or below it,
-    ties at the boundary included, is kept in ascending index order, and a
-    stable sort of that window gives the order. Needs 1 <= k <= len(dist).
+    The k-th smallest value comes from a counting select, the first v with
+    at least k entries at or below it, when dist holds unsigned integers of
+    at most 16 bits (hamming_scan's counts), and from np.partition
+    otherwise. Every entry at or below it, ties at the boundary included,
+    is kept in ascending index order, and a stable sort of that window gives
+    the order. Needs 1 <= k <= len(dist).
     """
     if not 1 <= k <= len(dist):
         raise ValueError(f"need 1 <= k <= {len(dist)}, got k={k}")
-    kth = np.partition(dist, k - 1)[k - 1]
+    if dist.dtype.kind == "u" and dist.dtype.itemsize <= 2:
+        kth = int(np.searchsorted(np.cumsum(np.bincount(dist)), k))
+    else:
+        kth = np.partition(dist, k - 1)[k - 1]
     window = np.flatnonzero(dist <= kth)
     return window[np.argsort(dist[window], kind="stable")[:k]]
 

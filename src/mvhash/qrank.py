@@ -26,6 +26,8 @@ MAGIC_INDEP = b"MVHI"
 
 MI_SMOOTHING = 0.25
 WEIGHT_FLOOR = 1e-12
+# weighted_hamming_scan sums 16-bit pair tables from this many items on
+PAIR_TABLE_ITEMS = 1 << 16
 
 # bit b of byte value v, little-endian within the byte: (256, 8) of 0/1
 _BYTE_BITS = unpack_bits(PackedCodes(np.arange(256, dtype=np.uint64)[:, None], 8))
@@ -283,20 +285,32 @@ def weighted_hamming_scan(
     Byte tables T[j][v] (ceil(B/8) x 256) hold the summed w* of the bits set
     in byte value v of byte j; padding bits weigh 0. An item's distance is
     the sum of T[j][x_j] over the bytes x_j of (item XOR query), ceil(B/8)
-    gathers an item. On the grid of dyadic_weights every such sum is exact,
-    so it equals the sum in any other order, ascending bit order included.
+    gathers an item. From PAIR_TABLE_ITEMS items on, where the fewer
+    gathers outweigh building the tables, pairs of byte tables are summed
+    into 16-bit tables P[j][hi * 256 + lo] = T[2j+1][hi] + T[2j][lo], read
+    through a uint16 view of (item XOR query), ceil(B/16) gathers an item.
+    On the grid of dyadic_weights every table entry and every such sum is
+    exact, so both paths, and the sum in any other order, ascending bit
+    order included, give the same bits. A query of other than
+    words_per_item(codes.bits) words is a ValueError.
     """
     wstar = np.asarray(wstar, dtype=np.float64)
-    nbytes = (codes.bits + 7) // 8
+    pairs = codes.n >= PAIR_TABLE_ITEMS
+    nbytes = (codes.bits + 15) // 16 * 2 if pairs else (codes.bits + 7) // 8
     w = np.zeros(nbytes * 8)
     w[: codes.bits] = wstar
     w = w.reshape(nbytes, 8)
     tables = np.zeros((nbytes, 256))
     for b in range(8):
         tables += _BYTE_BITS[:, b] * w[:, b:b + 1]
-    x = (codes.words ^ np.asarray(query_words, dtype=np.uint64)).view(np.uint8)
+    x = codes.words ^ PackedCodes(np.asarray(query_words, dtype=np.uint64)[None], codes.bits).words
+    if pairs:
+        tables = [np.add.outer(hi, lo).ravel() for lo, hi in zip(tables[::2], tables[1::2])]
+        x = x.view(np.uint16)
+    else:
+        x = x.view(np.uint8)
     dist = np.take(tables[0], x[:, 0])
-    for j in range(1, nbytes):
+    for j in range(1, len(tables)):
         dist += np.take(tables[j], x[:, j])
     return dist
 
@@ -360,7 +374,7 @@ def hamming_query(table: HashTable, query: np.ndarray, top_n: int = 1000):
     query_words = encode_one(table.hash_model, np.asarray(query, np.float64))
     dist = hamming_scan(table.codes, query_words)
     order = topk(dist, min(top_n, table.codes.n))
-    return table.db_ids[order], dist[order]
+    return table.db_ids[order], dist[order].astype(np.int64)
 
 
 def save_independence(path: Union[str, Path], indep: IndependenceMatrix) -> None:

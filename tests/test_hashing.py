@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvhash.hashing import (HashModel, encode, encode_one, hamming_scan, load_codes,
                             load_model, pack_bits, save_codes, save_model, topk, train,
@@ -223,6 +224,29 @@ def test_hamming_rank_k_too_large():
     codes = pack_bits(np.zeros((4, 8), dtype=np.uint8))
     with pytest.raises(ValueError):
         hamming_rank(codes, codes.words[0], 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([np.uint8, np.uint16]), st.integers(2, 300), st.integers(1, 4),
+       st.sampled_from(["first", "second-last", "last"]), st.integers(0, 2**32 - 1))
+def test_counting_topk_equals_a_full_stable_argsort(dtype, n, n_values, which, seed):
+    # Few distinct values, so the k-th value is tied many times over.
+    rng = np.random.default_rng(seed)
+    values = rng.choice(np.iinfo(dtype).max + 1, size=n_values, replace=False)
+    dist = values[rng.integers(0, n_values, n)].astype(dtype)
+    k = {"first": 1, "second-last": n - 1, "last": n}[which]
+    np.testing.assert_array_equal(topk(dist, k), np.argsort(dist, kind="stable")[:k])
+
+
+def test_hamming_scan_counts_in_the_narrowest_unsigned_dtype():
+    rng = np.random.default_rng(16)
+    for bits, dtype in ((1, np.uint8), (255, np.uint8), (256, np.uint16), (300, np.uint16)):
+        assert hamming_scan(pack_bits(_random_bits(rng, 3, bits)), np.zeros(
+            words_per_item(bits), dtype=np.uint64)).dtype == dtype
+    raw = _random_bits(rng, 2, 300)
+    raw[1] = 1 - raw[0]
+    codes = pack_bits(raw)
+    assert hamming_scan(codes, codes.words[0]).tolist() == [0, 300]
 
 
 def test_model_roundtrip_encodes_identically(tmp_path):

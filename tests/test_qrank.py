@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvhash import qrank
 from mvhash.anchors import build_anchors
 from mvhash.dataset import gen_synthetic, make_split
 from mvhash.fusion import QsrfParams, qsrf_search
@@ -538,6 +539,57 @@ def test_topk_paths_match_oracle_and_full_stable_argsort(case):
     np.testing.assert_array_equal(horacle, np.argsort(hfull, kind="stable")[:k])
     np.testing.assert_array_equal(ids, table.db_ids[horacle])
     np.testing.assert_array_equal(dists, hfull[horacle])
+    assert dists.dtype == np.int64
+
+
+@pytest.mark.parametrize("bits, words", [(40, 2), (100, 1), (100, 3)])
+def test_scans_reject_a_query_of_the_wrong_word_count(bits, words):
+    # A wrong-width query row would broadcast against the codes' words and
+    # give plausible but wrong distances.
+    codes = pack_bits(np.random.default_rng(bits).random((5, bits)) < 0.5)
+    query = np.resize(codes.words[0], words)
+    with pytest.raises(ValueError, match="words"):
+        hamming_scan(codes, query)
+    with pytest.raises(ValueError, match="words"):
+        weighted_hamming_scan(codes, query, np.ones(bits))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 8, 9, 16, 17, 33, 40, 48, 64, 65, 128]), st.integers(1, 200),
+       st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e6, 1e12]))
+def test_pair_tables_give_the_byte_tables_bits(bits, n, seed, spread):
+    rng = np.random.default_rng(seed)
+    w = dyadic_weights(np.exp(rng.uniform(-np.log(spread), 0.0, bits)))
+    pool = rng.random((4, bits)) < 0.5  # duplicates tie at equal distances
+    codes = pack_bits(np.vstack([pool[rng.integers(0, 4, n)], rng.random((n, bits)) < 0.5]))
+    query = codes.words[rng.integers(0, codes.n)]
+    byte = weighted_hamming_scan(codes, query, w)
+    with mock.patch.object(qrank, "PAIR_TABLE_ITEMS", 1):
+        pair = weighted_hamming_scan(codes, query, w)
+    assert pair.tobytes() == byte.tobytes()
+    oracle = brute_force_rank(codes, query, "weighted_hamming", codes.n, weights=w)
+    np.testing.assert_array_equal(np.argsort(pair, kind="stable"), oracle)
+
+
+def test_pair_table_scan_of_a_large_table_matches_the_oracle():
+    # 2^16 items take the pair tables unpatched; a pool of repeated rows and
+    # weights of few distinct values put many ties at the cut.
+    n, bits, top_n = qrank.PAIR_TABLE_ITEMS, 48, 1000
+    rng = np.random.default_rng(17)
+    pool = rng.random((300, bits)) < 0.5
+    rows = np.where(rng.random((n, 1)) < 0.5, pool[rng.integers(0, 300, n)],
+                    rng.random((n, bits)) < 0.5).astype(np.uint8)
+    table = _identity_table(rows)
+    query = 2.0 * rows[5] - 1.0
+    w = rng.choice([0.5, 1.0, 3.0], bits)
+    with mock.patch("mvhash.qrank.raw_weights", return_value=w):
+        res = qrank_query(table, query, QueryParams(calibrate=False), top_n=top_n)
+    oracle = brute_force_rank(table.codes, res.query_words, "weighted_hamming", top_n,
+                              weights=res.weights.calibrated)
+    np.testing.assert_array_equal(res.local_ids, oracle)
+    ids, _ = hamming_query(table, query, top_n=top_n)
+    horacle = brute_force_rank(table.codes, res.query_words, "hamming", top_n)
+    np.testing.assert_array_equal(ids, table.db_ids[horacle])
 
 
 def test_qrank_distances_are_exact_sums_of_the_grid_weights():

@@ -85,3 +85,17 @@ def test_weighted_hamming_distance_has_one_kernel():
     assert reads == {"qrank.py:weighted_hamming_scan"}
     for name in ("qrank.py", "fusion.py"):
         assert _sites(SRC / "mvhash" / name, lambda node: _names(node, "eps")) == set()
+
+
+def test_pair_tables_and_the_counting_select_have_one_site_each():
+    """The pair-table size rule and the tables themselves live in
+    weighted_hamming_scan alone, and the counting select in topk alone, so
+    there is still one weighted kernel and one top-k."""
+    reads = _src_sites(lambda node: isinstance(node, ast.Name) and node.id == "PAIR_TABLE_ITEMS"
+                       and isinstance(node.ctx, ast.Load))
+    assert reads == {"qrank.py:weighted_hamming_scan"}
+    outer = _src_sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "outer"
+                       and isinstance(node.value, ast.Attribute) and node.value.attr == "add")
+    assert outer == {"qrank.py:weighted_hamming_scan"}
+    assert _sites(SRC / "mvhash" / "hashing.py",
+                  lambda node: _names(node, "bincount")) == {"hashing.py:topk"}
