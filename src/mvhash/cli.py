@@ -353,7 +353,10 @@ def cmd_query(args) -> int:
                  f"{cap}={getattr(cfg, cap)}")
     payload = json.dumps({"mode": mode, "k": args.k, "results": results}, indent=2)
     if args.out:
-        Path(args.out).write_text(payload + "\n")
+        try:
+            Path(args.out).write_text(payload + "\n")
+        except OSError as exc:
+            raise CliError(f"--out {args.out}: {exc}") from None
         _log(f"query: wrote {args.out}")
     else:
         print(payload)

@@ -20,14 +20,15 @@ import numpy as np
 
 from .anchors import AnchorModel, embed, query_neighbor_profile
 from .binfile import BinaryReader
-from .hashing import HashModel, PackedCodes, encode, encode_one, hamming_scan, topk, unpack_bits
+from .hashing import (HashModel, PackedCodes, encode, encode_one, hamming_scan, pack_bits, topk,
+                      unpack_bits)
 
 MAGIC_INDEP = b"MVHI"
 
 MI_SMOOTHING = 0.25
 WEIGHT_FLOOR = 1e-12
-# weighted_hamming_scan sums 16-bit pair tables from this many items on
-PAIR_TABLE_ITEMS = 1 << 16
+# weighted_topk bounds every item by a masked popcount from this many items on
+BOUND_ITEMS = 1 << 16
 
 # bit b of byte value v, little-endian within the byte: (256, 8) of 0/1
 _BYTE_BITS = unpack_bits(PackedCodes(np.arange(256, dtype=np.uint64)[:, None], 8))
@@ -277,6 +278,14 @@ def calibrate(
                              iterations=iters, converged=converged, iterates=iterates)
 
 
+def _bit_weights(codes: PackedCodes, wstar: np.ndarray) -> np.ndarray:
+    """wstar as float64, a ValueError unless it holds one weight per bit."""
+    wstar = np.asarray(wstar, dtype=np.float64)
+    if wstar.shape != (codes.bits,):
+        raise ValueError(f"need one weight per bit: {codes.bits} bits, got {wstar.size} weights")
+    return wstar
+
+
 def weighted_hamming_scan(
     codes: PackedCodes, query_words: np.ndarray, wstar: np.ndarray
 ) -> np.ndarray:
@@ -285,18 +294,14 @@ def weighted_hamming_scan(
     Byte tables T[j][v] (ceil(B/8) x 256) hold the summed w* of the bits set
     in byte value v of byte j; padding bits weigh 0. An item's distance is
     the sum of T[j][x_j] over the bytes x_j of (item XOR query), ceil(B/8)
-    gathers an item. From PAIR_TABLE_ITEMS items on, where the fewer
-    gathers outweigh building the tables, pairs of byte tables are summed
-    into 16-bit tables P[j][hi * 256 + lo] = T[2j+1][hi] + T[2j][lo], read
-    through a uint16 view of (item XOR query), ceil(B/16) gathers an item.
-    On the grid of dyadic_weights every table entry and every such sum is
-    exact, so both paths, and the sum in any other order, ascending bit
-    order included, give the same bits. A query of other than
-    words_per_item(codes.bits) words is a ValueError.
+    gathers an item. On the grid of dyadic_weights every table entry and
+    every such sum is exact, so the sum in any other order, ascending bit
+    order included, gives the same bits. Weights of other than codes.bits
+    entries, or a query of other than words_per_item(codes.bits) words, are
+    a ValueError.
     """
-    wstar = np.asarray(wstar, dtype=np.float64)
-    pairs = codes.n >= PAIR_TABLE_ITEMS
-    nbytes = (codes.bits + 15) // 16 * 2 if pairs else (codes.bits + 7) // 8
+    wstar = _bit_weights(codes, wstar)
+    nbytes = (codes.bits + 7) // 8
     w = np.zeros(nbytes * 8)
     w[: codes.bits] = wstar
     w = w.reshape(nbytes, 8)
@@ -304,13 +309,9 @@ def weighted_hamming_scan(
     for b in range(8):
         tables += _BYTE_BITS[:, b] * w[:, b:b + 1]
     x = codes.words ^ PackedCodes(np.asarray(query_words, dtype=np.uint64)[None], codes.bits).words
-    if pairs:
-        tables = [np.add.outer(hi, lo).ravel() for lo, hi in zip(tables[::2], tables[1::2])]
-        x = x.view(np.uint16)
-    else:
-        x = x.view(np.uint8)
+    x = x.view(np.uint8)
     dist = np.take(tables[0], x[:, 0])
-    for j in range(1, len(tables)):
+    for j in range(1, nbytes):
         dist += np.take(tables[j], x[:, j])
     return dist
 
@@ -320,10 +321,52 @@ def weighted_topk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k local ids by weighted Hamming distance and their distances: the
     first k entries of a stable argsort of weighted_hamming_scan. Needs
-    1 <= k <= codes.n."""
-    dist = weighted_hamming_scan(codes, query_words, wstar)
+    1 <= k <= codes.n and grid weights, one per bit, as dyadic_weights
+    returns them.
+
+    From BOUND_ITEMS items on, only the items a popcount bound cannot exclude
+    are scored. The light bits are those at min(w*) (none when all weights
+    are equal), the heavy bits the rest. An item differing from the query in
+    c heavy bits has a distance of at least LB[c], the sum of the c smallest
+    heavy weights. c* is the smallest c with at least k items at or below
+    it; those items are scored, and their k-th distance T bounds the k-th
+    distance overall, so every item with LB[c] <= T is kept, and scored in
+    a second scan when that reaches past c*. The kept items, in ascending
+    id, go through topk, so ties at the cut resolve as in the full scan. LB
+    is a sum of grid weights, hence exact; off the grid a rounded bound
+    could drop an item the full scan would keep.
+    """
+    wstar = _bit_weights(codes, wstar)
+    if codes.n < BOUND_ITEMS:
+        dist = weighted_hamming_scan(codes, query_words, wstar)
+        order = topk(dist, k)
+        return order, dist[order]
+    if not 1 <= k <= codes.n:  # topk would name the kept items' count instead
+        raise ValueError(f"need 1 <= k <= {codes.n}, got k={k}")
+    heavy = wstar > wstar.min()
+    if not heavy.any():  # equal weights: the count alone fixes the distance
+        heavy[:] = True
+    mask = pack_bits(heavy[None]).words
+    x = codes.words ^ PackedCodes(np.asarray(query_words, dtype=np.uint64)[None], codes.bits).words
+    x &= mask
+    counts = np.bitwise_count(x).sum(axis=1, dtype=np.min_scalar_type(codes.bits))
+    lower = np.concatenate(([0.0], np.cumsum(np.sort(wstar[heavy]))))
+    lo, hi = 0, len(lower) - 1  # every count is at most the heavy bits' number
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if np.count_nonzero(counts <= mid) >= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    kept = np.flatnonzero(counts <= lo)  # lo is c*
+    dist = weighted_hamming_scan(PackedCodes(codes.words[kept], codes.bits), query_words, wstar)
+    c_max = int(np.searchsorted(lower, np.partition(dist, k - 1)[k - 1], side="right")) - 1
+    if c_max > lo:
+        kept = np.flatnonzero(counts <= c_max)
+        dist = weighted_hamming_scan(PackedCodes(codes.words[kept], codes.bits),
+                                     query_words, wstar)
     order = topk(dist, k)
-    return order, dist[order]
+    return kept[order], dist[order]
 
 
 def _check_top_n(top_n: int) -> None:

@@ -201,6 +201,21 @@ def test_query_out_file(capsys, tmp_path):
     assert payload["mode"] == "qrank"
 
 
+def test_query_out_that_cannot_be_written_is_an_error(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle")
+    qfiles = _query_files(data, tmp_path)
+    for dest in (tmp_path / "missing" / "results.json", tmp_path):
+        code, out, err = _run(capsys, [
+            "query", "--bundle", str(tmp_path / "bundle"),
+            "--queries", qfiles[0], "--out", str(dest),
+        ])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"mvhash: error: --out {dest}:")
+    assert not (tmp_path / "missing").exists()
+
+
 # --------------------------------------------------------------------- eval
 
 

@@ -554,39 +554,127 @@ def test_scans_reject_a_query_of_the_wrong_word_count(bits, words):
         weighted_hamming_scan(codes, query, np.ones(bits))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([1, 8, 9, 16, 17, 33, 40, 48, 64, 65, 128]), st.integers(1, 200),
-       st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e6, 1e12]))
-def test_pair_tables_give_the_byte_tables_bits(bits, n, seed, spread):
-    rng = np.random.default_rng(seed)
-    w = dyadic_weights(np.exp(rng.uniform(-np.log(spread), 0.0, bits)))
-    pool = rng.random((4, bits)) < 0.5  # duplicates tie at equal distances
-    codes = pack_bits(np.vstack([pool[rng.integers(0, 4, n)], rng.random((n, bits)) < 0.5]))
-    query = codes.words[rng.integers(0, codes.n)]
-    byte = weighted_hamming_scan(codes, query, w)
-    with mock.patch.object(qrank, "PAIR_TABLE_ITEMS", 1):
-        pair = weighted_hamming_scan(codes, query, w)
-    assert pair.tobytes() == byte.tobytes()
-    oracle = brute_force_rank(codes, query, "weighted_hamming", codes.n, weights=w)
-    np.testing.assert_array_equal(np.argsort(pair, kind="stable"), oracle)
+@pytest.mark.parametrize("bound_items", [1, qrank.BOUND_ITEMS], ids=["bound", "full-scan"])
+@pytest.mark.parametrize("n_weights", [1, 7])
+def test_weights_of_the_wrong_length_are_rejected(bound_items, n_weights):
+    # One weight on 6-bit codes would broadcast over every bit (three
+    # differing bits would give 1.5). The bound reads the weights before any
+    # scan, so both weighted_topk paths check them first.
+    codes = pack_bits(np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0]], dtype=np.uint8))
+    w = np.full(n_weights, 0.5)
+    message = f"6 bits, got {n_weights} weights"
+    with pytest.raises(ValueError, match=message):
+        weighted_hamming_scan(codes, codes.words[1], w)
+    with mock.patch.object(qrank, "BOUND_ITEMS", bound_items):
+        with pytest.raises(ValueError, match=message):
+            weighted_topk(codes, codes.words[1], w, 2)
 
 
-def test_pair_table_scan_of_a_large_table_matches_the_oracle():
-    # 2^16 items take the pair tables unpatched; a pool of repeated rows and
+@pytest.mark.parametrize("bound_items", [1, qrank.BOUND_ITEMS], ids=["bound", "full-scan"])
+def test_weighted_topk_rejects_k_outside_the_table(bound_items):
+    codes = pack_bits(np.eye(4, dtype=np.uint8))
+    with mock.patch.object(qrank, "BOUND_ITEMS", bound_items):
+        for k in (0, 5):
+            with pytest.raises(ValueError, match=f"need 1 <= k <= 4, got k={k}"):
+                weighted_topk(codes, codes.words[0], np.full(4, 0.5), k)
+
+
+def _floor_heavy(rng, bits):
+    """Weights as calibrate returns them: dyadic_weights(max(w o pi, WEIGHT_FLOOR))
+    with pi zero off a random support, so most bits sit at the floor."""
+    pi = np.zeros(bits)
+    support = rng.choice(bits, rng.integers(1, max(bits // 4, 1) + 1), replace=False)
+    pi[support] = rng.dirichlet(np.ones(len(support)))
+    return dyadic_weights(np.maximum(np.exp(rng.uniform(-1.0, 1.0, bits)) * pi, WEIGHT_FLOOR))
+
+
+@st.composite
+def _bound_cases(draw):
+    """Codes mixing a pool of duplicate rows, so ties straddle the cut, with
+    random rows, and grid weights of four kinds: unit, all equal but not 1
+    (no light bits), floor-heavy, and spread over twelve decades."""
+    bits = draw(st.sampled_from([1, 8, 9, 17, 48, 64, 65, 100, 128]))
+    n = draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["unit", "equal", "floor", "spread"]))
+    if kind == "unit":
+        w = np.ones(bits)
+    elif kind == "equal":
+        w = dyadic_weights(np.full(bits, rng.uniform(1e-6, 1e3)))
+    elif kind == "floor":
+        w = _floor_heavy(rng, bits)
+    else:
+        w = dyadic_weights(np.exp(rng.uniform(-np.log(1e12), 0.0, bits)))
+    pool = rng.random((draw(st.integers(1, 4)), bits)) < 0.5
+    codes = pack_bits(np.vstack([pool[rng.integers(0, len(pool), n)],
+                                 rng.random((draw(st.integers(0, n)), bits)) < 0.5]))
+    query = pack_bits(pool[:1] if draw(st.booleans()) else rng.random((1, bits)) < 0.5).words[0]
+    k = draw(st.sampled_from([1, codes.n - 1, codes.n]))
+    return codes, query, w, max(k, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bound_cases())
+def test_bound_keeps_the_full_scans_top_k(case):
+    codes, query, w, k = case
+    with mock.patch.object(qrank, "BOUND_ITEMS", 1):
+        ids, dist = weighted_topk(codes, query, w, k)
+    full = weighted_hamming_scan(codes, query, w)
+    order = np.argsort(full, kind="stable")[:k]
+    np.testing.assert_array_equal(ids, order)
+    assert dist.tobytes() == full[order].tobytes()
+    oracle = brute_force_rank(codes, query, "weighted_hamming", k, weights=w)
+    np.testing.assert_array_equal(ids, oracle)
+
+
+def _record_scans(scored):
+    """Patch weighted_hamming_scan to append the codes of each call to scored."""
+    scan = qrank.weighted_hamming_scan
+    return mock.patch.object(qrank, "weighted_hamming_scan",
+                             side_effect=lambda codes, *a: scored.append(codes) or scan(codes, *a))
+
+
+def test_bound_keeps_an_item_whose_count_exceeds_the_threshold_count():
+    # Heavy bits weigh 2, 3 and 4, light bits 0.5, so LB = [0, 2, 5, 9].
+    # Item 1 is the one item at count c* = 0 for k = 1, and its distance 2
+    # (all four light bits) bounds the top-1 distance. Item 0 differs in the
+    # 2-bit alone: count 1 and LB[1] = 2, equal to the bound, so it is kept,
+    # scored in a second scan, and wins the tie at 2 by its lower id. Item 2
+    # (count 2, LB[2] = 5) is the one item excluded.
+    w = np.array([2.0, 3.0, 4.0, 0.5, 0.5, 0.5, 0.5])
+    rows = np.array([[1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 0, 0]],
+                    dtype=np.uint8)
+    codes, query = pack_bits(rows), pack_bits(np.zeros((1, 7), dtype=np.uint8)).words[0]
+    scored = []
+    with mock.patch.object(qrank, "BOUND_ITEMS", 1), _record_scans(scored):
+        ids, dist = weighted_topk(codes, query, w, 1)
+    assert ids.tolist() == [0] and dist.tolist() == [2.0]
+    assert [c.words.tolist() for c in scored] == [codes.words[1:2].tolist(),
+                                                  codes.words[:2].tolist()]
+
+
+@pytest.mark.parametrize("weights", ["equal", "few-values", "floor-heavy"])
+def test_bound_on_a_large_table_matches_the_oracle(weights):
+    # 2^16 items take the bound unpatched; a pool of repeated rows and
     # weights of few distinct values put many ties at the cut.
-    n, bits, top_n = qrank.PAIR_TABLE_ITEMS, 48, 1000
+    n, bits, top_n = qrank.BOUND_ITEMS, 48, 1000
     rng = np.random.default_rng(17)
     pool = rng.random((300, bits)) < 0.5
     rows = np.where(rng.random((n, 1)) < 0.5, pool[rng.integers(0, 300, n)],
                     rng.random((n, bits)) < 0.5).astype(np.uint8)
     table = _identity_table(rows)
     query = 2.0 * rows[5] - 1.0
-    w = rng.choice([0.5, 1.0, 3.0], bits)
-    with mock.patch("mvhash.qrank.raw_weights", return_value=w):
+    w = {"equal": np.ones(bits), "few-values": rng.choice([0.5, 1.0, 3.0], bits),
+         "floor-heavy": _floor_heavy(rng, bits)}[weights]
+    scored = []
+    with mock.patch("mvhash.qrank.raw_weights", return_value=w), _record_scans(scored):
         res = qrank_query(table, query, QueryParams(calibrate=False), top_n=top_n)
+    assert len(scored) in (1, 2) and top_n <= scored[-1].n < n
     oracle = brute_force_rank(table.codes, res.query_words, "weighted_hamming", top_n,
                               weights=res.weights.calibrated)
     np.testing.assert_array_equal(res.local_ids, oracle)
+    full = weighted_hamming_scan(table.codes, res.query_words, res.weights.calibrated)
+    assert res.distances.tobytes() == full[oracle].tobytes()
     ids, _ = hamming_query(table, query, top_n=top_n)
     horacle = brute_force_rank(table.codes, res.query_words, "hamming", top_n)
     np.testing.assert_array_equal(ids, table.db_ids[horacle])

@@ -87,15 +87,16 @@ def test_weighted_hamming_distance_has_one_kernel():
         assert _sites(SRC / "mvhash" / name, lambda node: _names(node, "eps")) == set()
 
 
-def test_pair_tables_and_the_counting_select_have_one_site_each():
-    """The pair-table size rule and the tables themselves live in
-    weighted_hamming_scan alone, and the counting select in topk alone, so
-    there is still one weighted kernel and one top-k."""
-    reads = _src_sites(lambda node: isinstance(node, ast.Name) and node.id == "PAIR_TABLE_ITEMS"
+def test_the_bound_and_the_counting_select_have_one_site_each():
+    """The bound's size rule is read by weighted_topk alone, no pair table
+    (np.add.outer) is left beside the byte tables, and the counting select
+    lives in topk alone, so there is still one weighted kernel and one top-k.
+    test_weighted_hamming_distance_has_one_kernel pins the byte tables."""
+    reads = _src_sites(lambda node: isinstance(node, ast.Name) and node.id == "BOUND_ITEMS"
                        and isinstance(node.ctx, ast.Load))
-    assert reads == {"qrank.py:weighted_hamming_scan"}
+    assert reads == {"qrank.py:weighted_topk"}
     outer = _src_sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "outer"
                        and isinstance(node.value, ast.Attribute) and node.value.attr == "add")
-    assert outer == {"qrank.py:weighted_hamming_scan"}
+    assert outer == set()
     assert _sites(SRC / "mvhash" / "hashing.py",
                   lambda node: _names(node, "bincount")) == {"hashing.py:topk"}
