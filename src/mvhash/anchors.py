@@ -214,8 +214,14 @@ def build_anchors(
     pair_idx = rng.integers(0, n, size=(1000, 2))
     pair_pts = np.unique(pair_idx)
     emb = _embed_matrix(data[pair_pts], anchors, s_nn, bandwidth)
-    pos = np.searchsorted(pair_pts, pair_idx)
-    sigma = max(np.sqrt(max(_sparse_sqdist(emb.row(a), emb.row(b)) for a, b in pos)), 1e-6)
+    a, b = np.searchsorted(pair_pts, pair_idx).T
+    # |z_a - z_b|^2 = |z_a|^2 + |z_b|^2 - 2 z_a.z_b, with the b rows scattered dense
+    dense_b = np.zeros((len(b), k))
+    np.put_along_axis(dense_b, emb.indices[b], emb.values[b], axis=1)
+    dots = (emb.values[a] * np.take_along_axis(dense_b, emb.indices[a], axis=1)).sum(axis=1)
+    sqnorm = (emb.values ** 2).sum(axis=1)
+    d2 = sqnorm[a] + sqnorm[b] - 2.0 * dots
+    sigma = max(np.sqrt(max(d2.max(), 0.0)), 1e-6)
 
     model = AnchorModel(
         anchors=anchors,
@@ -235,16 +241,6 @@ def embed(model: AnchorModel, x: np.ndarray) -> SparseRow:
     if x.ndim != 1 or x.shape[0] != model.dim:
         raise ValueError(f"expected a vector of dim {model.dim}")
     return _embed_matrix(x[None, :], model.anchors, model.s_nn, model.kernel_bandwidth).row(0)
-
-
-def _sparse_sqdist(z_p: SparseRow, z_q: SparseRow) -> float:
-    """Squared Euclidean distance between sparse rows over the union of supports."""
-    pi, pv = z_p
-    qi, qv = z_q
-    _, ia, ib = np.intersect1d(pi, qi, return_indices=True)
-    dot = float(pv[ia] @ qv[ib]) if len(ia) else 0.0
-    d2 = float(pv @ pv) + float(qv @ qv) - 2.0 * dot
-    return max(d2, 0.0)
 
 
 def landmark_similarities(model: AnchorModel, z_q: SparseRow) -> np.ndarray:

@@ -375,6 +375,8 @@ def cmd_eval(args) -> int:
     _check_views(index, [v.data for v in ds.views], cfg.views, views, "view")
     if ds.labels is None:
         raise CliError("eval needs labels; pass --labels or set it in the config")
+    if len(index.split.query) == 0:
+        raise CliError("the index's split has no query ids; rebuild with --n-query > 0")
     split_ids = max(index.split.database.max(), index.split.query.max())
     if ds.n <= split_ids:
         raise CliError(f"dataset has {ds.n} items; the index's split has ids up to {split_ids}")

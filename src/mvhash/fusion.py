@@ -106,16 +106,11 @@ class FusedGraph:
     transition_and_restart fills restart, alpha, inv_degree (1/row sums of
     omega, 0 on dangling rows) and dangling. `omega` and `transition` (P =
     diag(inv_degree) omega, dangling rows uniform) are materialised on first
-    access, for oracles and diagnostics; either may also be given explicitly.
+    access, for oracles and diagnostics; either may also be assigned.
     """
 
-    def __init__(self, vertices, omega=None, parts=None):
+    def __init__(self, vertices, parts):
         self.vertices = np.asarray(vertices, dtype=np.int64)
-        nv = len(self.vertices)
-        if parts is None:
-            parts = [(np.arange(nv), omega)]
-        if omega is not None:
-            self.omega = omega
         self.parts = parts
         self.restart: Optional[np.ndarray] = None
         self.alpha = 0.85

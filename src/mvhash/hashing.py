@@ -177,8 +177,7 @@ def encode(model: HashModel, data: np.ndarray) -> PackedCodes:
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[1] != model.dim:
         raise ValueError(f"data dim {data.shape[1]} does not match model dim {model.dim}")
-    proj = (data - model.mean.astype(np.float64)) @ model.projection.T.astype(np.float64)
-    vals = proj @ model.rotation.T.astype(np.float64)
+    vals = (data - model.mean) @ model.projection.T @ model.rotation.T
     return pack_bits(vals >= 0.0)
 
 

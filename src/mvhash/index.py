@@ -71,9 +71,10 @@ def build_index(
     for m, view in enumerate(dataset.views):
         model = train(family, view.data[split.train], bits, seed=_view_seed(seed, m, 1),
                       itq_iters=itq_iters)
-        db_codes = encode(model, view.data[split.database])
+        db = view.data[split.database]
+        db_codes = encode(model, db)
         anchor_model = build_anchors(
-            view.data[split.database], anchors, method=anchor_method, s_nn=s_nn,
+            db, anchors, method=anchor_method, s_nn=s_nn,
             seed=_view_seed(seed, m, 2), hash_model=model,
         )
         train_codes = encode(model, view.data[split.train])

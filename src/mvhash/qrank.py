@@ -172,7 +172,8 @@ def raw_weights(
     z_q = embed(anchor_model, query)
     landmark_ids, profile = query_neighbor_profile(anchor_model, z_q, n_landmarks)
     q_bits = unpack_bits(encode(hash_model, query))[0]
-    a_bits = unpack_bits(anchor_model.anchor_codes)[landmark_ids]
+    codes = anchor_model.anchor_codes
+    a_bits = unpack_bits(PackedCodes(codes.words[landmark_ids], codes.bits))
     q_pm = 2.0 * q_bits.astype(np.float64) - 1.0
     a_pm = 2.0 * a_bits.astype(np.float64) - 1.0
     agreement = q_pm * (profile @ a_pm)

@@ -217,6 +217,23 @@ def test_build_deterministic():
     assert m1.sigma == m2.sigma
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("method", ["random", "kmeans"])
+def test_sigma_is_the_largest_embedding_distance(n, method):
+    # 1000 sampled pairs cover all n^2 pairs of so few points
+    rng = np.random.default_rng(40 + n)
+    data = rng.normal(size=(n, 3))
+    for k, s_nn in ((n, 1), (n, n), (max(n - 1, 1), max(n // 2, 1))):
+        model = _model(data, k, s_nn=s_nn, seed=n, method=method)
+        emb = embed_many(model, data)
+        dense = np.zeros((n, k))
+        np.put_along_axis(dense, emb.indices, emb.values, axis=1)
+        dist = np.sqrt(((dense[:, None, :] - dense[None, :, :]) ** 2).sum(axis=2))
+        assert model.sigma == pytest.approx(max(dist.max(), 1e-6), rel=1e-12)
+    same = np.tile(data[:1], (n, 1))
+    assert _model(same, n, s_nn=max(n // 2, 1), seed=n, method=method).sigma == 1e-6
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 40), k=st.integers(1, 25), d=st.integers(1, 16),
        log_norm=st.floats(0, 6), grid=st.booleans(), s_pick=st.sampled_from(["1", "mid", "k"]),

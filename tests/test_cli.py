@@ -285,6 +285,20 @@ def test_eval_view_files_must_match_the_bundle(capsys, tmp_path):
         assert message in err
 
 
+def test_eval_of_a_bundle_without_query_ids_is_an_error(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle", extra=["--n-query", "0"])
+    code, out, err = _run(capsys, [
+        "eval", "--bundle", str(tmp_path / "bundle"),
+        "--view", data["views"][0], "--view", data["views"][1],
+        "--labels", data["labels"], "--out-dir", str(tmp_path / "eval"),
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("mvhash: error:")
+    assert "no query ids" in err
+
+
 def test_eval_ranks_each_view_once_per_query(capsys, tmp_path):
     data = _synth(capsys, tmp_path / "data")
     _build(capsys, data, tmp_path / "bundle")

@@ -339,8 +339,8 @@ def test_transition_rejects_bad_alpha_and_missing_query():
         with pytest.raises(ValueError):
             transition_and_restart(fuse([g]), alpha=bad)
     no_query = FusedGraph(vertices=np.array([2, 3]),
-                          omega=sp.csr_matrix(np.array([[0.0, 1.0],
-                                                        [1.0, 0.0]])))
+                          parts=[(np.arange(2), sp.csr_matrix(np.array([[0.0, 1.0],
+                                                                        [1.0, 0.0]])))])
     with pytest.raises(ValueError):
         transition_and_restart(no_query, alpha=0.85)
 
@@ -497,7 +497,7 @@ def test_random_walk_tolerance_below_rounding_stops_unconverged_before_the_cap()
 
 def test_closed_form_identity_chain_returns_restart():
     fused = FusedGraph(vertices=np.array([-1, 0, 1]),
-                       omega=sp.csr_matrix((3, 3)))
+                       parts=[(np.arange(3), sp.csr_matrix((3, 3)))])
     fused.transition = sp.identity(3, format="csr")
     fused.restart = np.array([0.5, 0.25, 0.25])
     fused.alpha = 0.5
