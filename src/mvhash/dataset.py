@@ -247,7 +247,8 @@ def gen_synthetic(
     views = []
     for v in range(n_views):
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        base = centers[labels] @ q.T
-        pts = base + rng.normal(scale=noise, size=(n, dim)) if noise > 0 else base
+        pts = centers[labels] @ q.T
+        if noise > 0:
+            pts += rng.normal(scale=noise, size=(n, dim))  # in place: no third (n, dim) array
         views.append(VectorView(name=f"view{v}", data=pts))
     return MultiViewDataset(views=views, labels=labels)

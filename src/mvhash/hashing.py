@@ -21,6 +21,9 @@ FAMILIES = ("lsh", "pcah", "itq")
 
 MAGIC_MODEL = b"MVHM"
 MAGIC_CODES = b"MVHC"
+# encode() projects at most this many rows at a time, so its float64
+# temporaries stay O(ENCODE_BLOCK * (d + B)) whatever the number of rows.
+ENCODE_BLOCK = 8192
 
 
 @dataclass
@@ -173,10 +176,16 @@ def encode(model: HashModel, data: np.ndarray) -> PackedCodes:
     """Encode rows of data into packed codes under the model.
 
     Bit k of item i is 1 iff (rotation @ projection @ (x_i - mean))_k >= 0.
+    More than ENCODE_BLOCK rows are encoded a block at a time; each row's bits
+    do not depend on the rows encoded with it.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[1] != model.dim:
         raise ValueError(f"data dim {data.shape[1]} does not match model dim {model.dim}")
+    if len(data) > ENCODE_BLOCK:
+        return PackedCodes(np.concatenate([encode(model, data[i:i + ENCODE_BLOCK]).words
+                                           for i in range(0, len(data), ENCODE_BLOCK)]),
+                           model.bits)
     vals = (data - model.mean) @ model.projection.T @ model.rotation.T
     return pack_bits(vals >= 0.0)
 

@@ -69,16 +69,17 @@ def build_index(
     and compute the bit-independence matrix on the training split."""
     tables = []
     for m, view in enumerate(dataset.views):
-        model = train(family, view.data[split.train], bits, seed=_view_seed(seed, m, 1),
-                      itq_iters=itq_iters)
+        train_data = view.data[split.train]
+        model = train(family, train_data, bits, seed=_view_seed(seed, m, 1), itq_iters=itq_iters)
         db = view.data[split.database]
         db_codes = encode(model, db)
         anchor_model = build_anchors(
             db, anchors, method=anchor_method, s_nn=s_nn,
             seed=_view_seed(seed, m, 2), hash_model=model,
         )
-        train_codes = encode(model, view.data[split.train])
-        indep = independence_matrix(train_codes, lam=lam)
+        # free this view's database slice before the next view slices its own
+        del db
+        indep = independence_matrix(encode(model, train_data), lam=lam)
         tables.append(HashTable(
             name=view.name,
             hash_model=model,

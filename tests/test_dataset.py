@@ -1,5 +1,7 @@
 """Dataset plumbing: file formats, splits, ground truth, synthetic generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,17 @@ def test_gen_synthetic_deterministic_and_seed_sensitive():
 def test_gen_synthetic_views_differ():
     ds = gen_synthetic(n_clusters=3, per_cluster=10, n_views=2, seed=5)
     assert not np.array_equal(ds.views[0].data, ds.views[1].data)
+
+
+@pytest.mark.parametrize("noise, digest", [
+    (0.3, "6b9121a847cc99815f549f0c3021269e3c30cca9892a27695193664c36be3c61"),
+    (0.0, "6d9f4c213a334fb7b1c4a22d3c10bdf9ee42babb9223ad2db2bfe0eb6ce600b6"),
+])
+def test_gen_synthetic_bytes_are_pinned(noise, digest):
+    # Every benchmark corpus is a gen_synthetic output, so a change to these
+    # bytes changes every benchmark's data.
+    ds = gen_synthetic(n_clusters=3, per_cluster=4, n_views=2, dim=5, noise=noise, seed=11)
+    h = hashlib.sha256()
+    for view in ds.views:
+        h.update(np.ascontiguousarray(view.data, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest

@@ -1,12 +1,14 @@
 """Hash training, bit packing, Hamming scan, model serialization."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvhash.hashing import (HashModel, encode, encode_one, hamming_scan, load_codes,
+from mvhash import hashing
+from mvhash.hashing import (FAMILIES, HashModel, encode, encode_one, hamming_scan, load_codes,
                             load_model, pack_bits, save_codes, save_model, topk, train,
                             unpack_bits, words_per_item)
 
@@ -116,6 +118,28 @@ def test_encode_one_matches_encode():
     codes = encode(model, data)
     for i in (0, 7, 39):
         np.testing.assert_array_equal(encode_one(model, data[i]), codes.words[i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FAMILIES), st.sampled_from([1, 48, 64, 65, 130]),
+       st.sampled_from([1, 3, 7]),
+       st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 2)]),
+       st.integers(0, 2**32 - 1))
+def test_block_encoding_gives_the_one_shot_codes(family, bits, block, rows, seed):
+    # n = blocks * block + extra rows: empty, one row, and around block boundaries
+    blocks, extra = rows
+    n = blocks * block + extra
+    rng = np.random.default_rng(seed)
+    dim = bits + 3  # pcah and itq need bits <= dim
+    model = train(family, rng.normal(size=(dim + 20, dim)), bits, seed=seed, itq_iters=5)
+    x = rng.normal(size=(n, dim))
+    one_shot = pack_bits(((x - model.mean) @ model.projection.T @ model.rotation.T) >= 0.0)
+    with mock.patch.object(hashing, "ENCODE_BLOCK", block):
+        codes = encode(model, x)
+        for i in range(n):
+            np.testing.assert_array_equal(encode_one(model, x[i]), codes.words[i])
+    assert codes.bits == bits
+    np.testing.assert_array_equal(codes.words, one_shot.words)
 
 
 def test_encode_dimension_mismatch():

@@ -166,12 +166,15 @@ def test_wrong_format_or_version_is_rejected(tmp_path):
 
 
 # Builds a k-means/itq index, saves it and ranks every held-out query in all
-# three modes; prints the bundle's sha256 set and a digest of the result bytes.
+# three modes; prints the bundle's sha256 set and a digest of the result bytes
+# and of a block-path encode.
 _BUILD_AND_QUERY = """
 import hashlib, json, sys
 from pathlib import Path
+import numpy as np
 from mvhash import (QsrfParams, build_index, gen_synthetic, hamming_query, make_split,
                     qrank_query, qsrf_search, save_bundle)
+from mvhash.hashing import ENCODE_BLOCK, encode
 ds = gen_synthetic(n_clusters=4, per_cluster=150, n_views=2, dim=32, noise=0.8, seed=7)
 split = make_split(ds.n, n_train=200, n_query=40, seed=7)
 index = build_index(ds, split, bits=32, family="itq", anchor_method="kmeans", seed=7)
@@ -195,6 +198,9 @@ fused = qsrf_search(index, [view.data[q] for view in ds.views],
 digest.update(fused.ids.tobytes())
 digest.update(fused.scores.tobytes())
 digest.update(str(fused.walk.iterations).encode())
+# more rows than two encode blocks, so the block path runs under threaded BLAS too
+rows = np.random.default_rng(7).normal(size=(2 * ENCODE_BLOCK + 5, 32))
+digest.update(encode(index.tables[0].hash_model, rows).words.tobytes())
 print(json.dumps({"files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                             for p in sorted(out.iterdir())},
                   "results": digest.hexdigest()}))
