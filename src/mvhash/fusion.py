@@ -9,16 +9,18 @@ probabilities solve (I - alpha P^T) r = (1 - alpha) restart.
 
 On the query path no graph is materialised: each table's weights stay as the
 factors of its embedding, and the superposition as one pair of sparse factors
-over every table's candidate rows, applied in O(candidates * s_nn). The walk
-solves for r by restarted GMRES on that operator. P^T is column-stochastic, so
-||(I - alpha P^T)^-1||_1 <= 1 / (1 - alpha), and the l1 norm of the residual
-b - A r, computed from the operator, over 1 - alpha bounds the l1 error of r;
-the walk stops once that certificate is below its tolerance.
+over every table's candidate rows, applied in O(candidates * s_nn). Every
+table's weights are symmetric, so with D the vertex degrees the walk's system
+is self-adjoint and positive definite in the inner product weighted by 1/D,
+once the dangling vertices (no edges) are solved in closed form; the walk
+solves it by conjugate gradients on that operator. P^T is column-stochastic,
+so ||(I - alpha P^T)^-1||_1 <= 1 / (1 - alpha), and the l1 norm of the
+residual b - A r, computed from the operator, over 1 - alpha bounds the l1
+error of r; the walk stops once that certificate is below its tolerance.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
@@ -31,10 +33,11 @@ from .hashing import PackedCodes, unpack_bits
 from .qrank import HashTable, QueryParams, QRankResult, qrank_query, weighted_hamming_scan
 
 QUERY_VERTEX = -1
-# GMRES restart length m: the Krylov basis holds at most m + 1 vectors of nv entries.
-KRYLOV_DIM = 40
-# A restart cycle that does not halve the certified residual has stagnated at rounding.
+# A measured residual that does not halve the last one has stagnated at rounding.
 STALL = 0.5
+# The walk measures its residual once the recursive estimate has fallen this much
+# since the last measurement, before rounding can part the two far.
+MEASURE_DROP = 2.0 ** 40
 # entries per block of candidate_embedding's candidates x kept-anchors screen:
 # a block (125 KiB) stays below glibc's default 128 KiB mmap threshold, so it
 # comes from the heap whatever the process allocated before.
@@ -76,7 +79,10 @@ class SimilarityFactors:
 class CandidateGraph:
     """One table's candidate graph: global vertex ids (query = -1) and edge weights.
 
-    edges is a SimilarityFactors or any scipy sparse matrix.
+    edges is a SimilarityFactors, symmetric by construction, or any scipy
+    sparse matrix, which must be square over the vertices, symmetric and
+    nonnegative: the walk's solver and its closed form for dangling vertices
+    rely on that.
     """
 
     table_id: int
@@ -86,6 +92,15 @@ class CandidateGraph:
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.int64)
+        if not isinstance(self.edges, SimilarityFactors):
+            e, n = sp.csr_matrix(self.edges), len(self.vertices)
+            if e.shape != (n, n):
+                raise ValueError(f"graph {self.table_id}: edge matrix is {e.shape[0]} x "
+                                 f"{e.shape[1]}, expected {n} x {n} for its {n} vertices")
+            if not np.all(e.data >= 0.0):
+                raise ValueError(f"graph {self.table_id}: edge weights must be nonnegative")
+            if (e != e.T).nnz:
+                raise ValueError(f"graph {self.table_id}: edge matrix must be symmetric")
         if self.isolated is None:
             self.isolated = np.zeros(len(self.vertices), dtype=bool)
 
@@ -362,36 +377,35 @@ def transition_and_restart(fused: FusedGraph, alpha: float = 0.85, restart_mass:
 
 
 def random_walk(fused: FusedGraph, tol: float = 1e-10, max_iters: int = 1000) -> RankScores:
-    """Solve (I - alpha P^T) r = (1 - alpha) restart by restarted GMRES from r0 = restart.
+    """Solve (I - alpha P^T) r = (1 - alpha) restart = b by conjugate gradients.
 
-    P^T x = omega^T (x / rowsum) + (sum of x over dangling rows) / nv: the
-    dangling rows' uniform mass is a scalar, and omega^T is the fused graph's
-    operator. Arnoldi runs on P^T, whose Krylov spaces are those of A = I -
-    alpha P^T, with classical Gram-Schmidt applied twice; Givens rotations
-    give each step's least-squares residual estimate in l2.
+    P^T x = omega (x / rowsum) + (sum of x over dangling rows) / nv, with
+    omega = omega^T >= 0 the fused graph's operator. Dangling vertices G have
+    zero rows and columns in omega, so their equations see only their total
+    s = sum_G r = sum_G b / (1 - alpha |G| / nv), and each takes r_i = b_i +
+    alpha s / nv. The other vertices solve (I - alpha omega D^-1) r = b +
+    alpha s / nv, D their degrees. That matrix is self-adjoint in <x, y> =
+    sum_i x_i y_i / D_i with eigenvalues in [1 - alpha, 1 + alpha], so
+    conjugate gradients (Hestenes & Stiefel 1952) in that inner product solve
+    it from r = restart, one operator application a step.
 
     The stop is certified: P^T is column-stochastic, so ||A^-1||_1 <= 1 /
     (1 - alpha) and ||r - r*||_1 <= ||b - A r||_1 / (1 - alpha) = residual,
-    with b - A r applied by the operator itself. The iterate is formed and
-    its residual measured (one more application) once the estimate times
-    sqrt(nv), a bound on l1 / l2, is at most tol (1 - alpha), at the end of
-    a cycle of KRYLOV_DIM steps, and before the application that would leave
-    none for the check. A happy breakdown (a zero new basis direction) zeroes
-    the estimate, so it is checked, and it ends the cycle. A failed check
-    goes on with the measured l1 / l2 ratio in place of sqrt(nv). The walk has
-    converged once residual <= tol. A cycle that does not cut the residual
-    by STALL has stagnated at rounding, and the walk stops unconverged.
-    iterations counts operator applications, at most max_iters; the iterate
+    with b - A r applied by the operator itself. CG's recursive residual is
+    in the same coordinates, so its l1 norm estimates ||b - A r||_1. The
+    residual is measured (one more application), and CG restarts from it,
+    once the estimate is at most tol (1 - alpha), once it has fallen
+    MEASURE_DROP-fold since the last measurement, and before the application
+    that would leave none for a measurement. The walk has converged once
+    residual <= tol. A measurement that does not cut the last one by STALL
+    has stagnated at rounding, and the walk stops unconverged. iterations
+    counts operator applications, at most max_iters; the measured iterate
     with the smallest residual is returned.
 
-    Each entry of a vector the solve forms (the operator, the einsum
-    combinations of basis vectors, elementwise arithmetic) is computed the
-    same way wherever it sits, so vertices with identical rows and columns
-    get bitwise-equal scores; a BLAS gemv finishes a vector with another
-    code path. Norms are einsum sums, not BLAS ddot, which OpenBLAS splits
-    between threads above about 10k entries. The basis coefficients V^T w
-    are BLAS gemv, one dot product per output; their bits were the same at
-    1 and 2 OpenBLAS threads.
+    Each vector entry is formed elementwise or by the operator, the same way
+    wherever it sits, so vertices with identical rows and columns get
+    bitwise-equal scores. The inner products are einsum sums: the walk makes
+    no BLAS call, so its bits do not depend on the BLAS threads.
     """
     if fused.restart is None:
         raise ValueError("call transition_and_restart first")
@@ -401,72 +415,49 @@ def random_walk(fused: FusedGraph, tol: float = 1e-10, max_iters: int = 1000) ->
     b = (1.0 - alpha) * restart
     target = tol * (1.0 - alpha)
 
-    def p_t(x):
-        out = fused.rmatvec(inv * x)
+    def measure(x):
+        """b - A x through the operator, its l1 norm, then 0 on the dangling rows."""
+        pt_x = fused.rmatvec(inv * x)
         if len(dangling):
-            out += x[dangling].sum() / nv
-        return out
+            pt_x += x[dangling].sum() / nv
+        res = b - x + alpha * pt_x
+        norm = float(np.abs(res).sum())
+        res[dangling] = 0.0
+        return res, norm
 
-    def residual_of(x):
-        r = b - x + alpha * p_t(x)
-        return r, float(np.abs(r).sum())
+    def inner(u, v):
+        return float(np.einsum("i,i,i->", inv, u, v))
 
-    m = min(KRYLOV_DIM, nv)
-    basis = np.empty((m + 1, nv))
-    rmat = np.zeros((m, m))
     x = restart.copy()
-    r, res = residual_of(x)
+    if len(dangling):
+        s = b[dangling].sum() / (1.0 - alpha * len(dangling) / nv)
+        x[dangling] = b[dangling] + alpha * s / nv
+    res, last = measure(x)
     used = 1
-    best = (res, x)
-    cycle_start = math.inf
-    while res > target and used + 2 <= max_iters and res < STALL * cycle_start:
-        cycle_start = res
-        beta = math.sqrt(np.einsum("i,i->", r, r))
-        basis[0] = r / beta
-        g, cs, sn = [beta], [], []
-        ratio = math.sqrt(nv)  # bounds ||r||_1 / ||r||_2 until a check measures it
-        j = 0
-        while True:
-            v = basis[:j + 1]
-            w = p_t(basis[j])
+    best = (last, x)
+    p, rho = res, inner(res, res)
+    while last > target and used + 2 <= max_iters and rho > 0.0:
+        q = p - alpha * fused.rmatvec(inv * p)
+        used += 1
+        step = rho / inner(p, q)
+        x = x + step * p
+        res = res - step * q
+        est = float(np.abs(res).sum())
+        if est <= target or est * MEASURE_DROP <= last or used + 2 > max_iters:
+            res, measured = measure(x)
             used += 1
-            h = v @ w
-            w -= np.einsum("k,ki->i", h, v)
-            h2 = v @ w
-            w -= np.einsum("k,ki->i", h2, v)
-            h += h2
-            hnext = math.sqrt(np.einsum("i,i->", w, w))
-            # column j of A's Hessenberg matrix, e_j - alpha h, through the rotations
-            col = (-alpha * h).tolist()
-            col[j] += 1.0
-            for i in range(j):
-                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
-                                      cs[i] * col[i + 1] - sn[i] * col[i])
-            sub = -alpha * hnext
-            d = math.hypot(col[j], sub)
-            cs.append(col[j] / d)
-            sn.append(sub / d)
-            col[j] = d
-            rmat[:j + 1, j] = col
-            g.append(-sn[j] * g[j])
-            g[j] *= cs[j]
-            j += 1
-            est = abs(g[j])
-            if est * ratio <= target or j == m or used + 2 > max_iters:
-                y = np.linalg.solve(rmat[:j, :j], g[:j])
-                x_new = x + np.einsum("k,ki->i", y, basis[:j])
-                r_new, res_new = residual_of(x_new)
-                used += 1
-                if res_new < best[0]:
-                    best = (res_new, x_new)
-                if res_new <= target or est == 0.0 or j == m or used + 2 > max_iters:
-                    x, r, res = x_new, r_new, res_new
-                    break
-                ratio = res_new / est
-            basis[j] = w / hnext
-    res, x = best
-    return RankScores(r=x, iterations=used, converged=res <= target,
-                      residual=res / (1.0 - alpha))
+            if measured < best[0]:
+                best = (measured, x)
+            if measured > STALL * last:
+                break
+            last = measured
+            p, rho = res, inner(res, res)
+        else:
+            rho, rho_prev = inner(res, res), rho
+            p = res + (rho / rho_prev) * p
+    residual, x = best
+    return RankScores(r=x, iterations=used, converged=residual <= target,
+                      residual=residual / (1.0 - alpha))
 
 
 def closed_form_rank(fused: FusedGraph) -> RankScores:

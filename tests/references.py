@@ -120,7 +120,7 @@ def power_walk(fused, tol=1e-10, max_iters=1000):
     restart, with P materialised, until a step's l1 change is below tol or
     after max_iters steps. Returns (iterates, converged); iterates[0] is the
     restart vector and iterates[-1] the scores. `fusion.random_walk` solves
-    the same linear system by GMRES; the tests compare the two."""
+    the same linear system by conjugate gradients; the tests compare the two."""
     pt = fused.transition.T.tocsr()
     alpha, restart = fused.alpha, fused.restart
     iterates = [restart.copy()]

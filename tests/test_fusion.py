@@ -423,6 +423,15 @@ def _certificate(fused, r):
     return np.abs((1.0 - fused.alpha) * fused.restart - a @ r).sum() / (1.0 - fused.alpha)
 
 
+def _operator_certificate(fused, r):
+    """The same bound formed as the walk forms it, through fused.rmatvec."""
+    pt_r = fused.rmatvec(fused.inv_degree * r)
+    if fused.dangling.any():
+        pt_r += r[fused.dangling].sum() / len(r)
+    res = (1.0 - fused.alpha) * fused.restart - r + fused.alpha * pt_r
+    return float(np.abs(res).sum()) / (1.0 - fused.alpha)
+
+
 def _random_graph(n, density, seed):
     rng = np.random.default_rng(seed)
     weights = np.triu(rng.random((n, n)), 1) * np.triu(rng.random((n, n)) < density, 1)
@@ -440,8 +449,8 @@ def test_random_walk_single_vertex_certifies_at_once():
 
 
 def test_random_walk_on_an_all_dangling_graph_breaks_down_to_the_exact_solve():
-    # P^T x is sum(x) / nv everywhere: the Krylov space is spanned by the
-    # initial residual and the ones vector, so Arnoldi breaks down at once.
+    # P^T x is sum(x) / nv everywhere: the dangling closed form solves every
+    # vertex, so the first measurement certifies it and no CG step is taken.
     g = CandidateGraph(table_id=0, vertices=[-1, 3, 5, 8], edges=sp.csr_matrix((4, 4)))
     fused = transition_and_restart(fuse([g]), alpha=0.85)
     assert fused.dangling.all()
@@ -458,8 +467,44 @@ def test_random_walk_certificate_bounds_the_error_within_the_cap(max_iters):
     walk = random_walk(fused, tol=1e-12, max_iters=max_iters)
     assert 1 <= walk.iterations <= max_iters
     assert walk.converged == (max_iters == 1000)
-    assert walk.residual == pytest.approx(_certificate(fused, walk.r), rel=1e-6, abs=1e-16)
+    if walk.converged:
+        # At a residual of about 1e-13 the two l1 sums differ in their last
+        # bits; the walk's own is checked exactly, P's against tol.
+        assert walk.residual == _operator_certificate(fused, walk.r)
+        assert _certificate(fused, walk.r) <= 1e-12
+    else:
+        assert walk.residual == pytest.approx(_certificate(fused, walk.r), rel=1e-6, abs=1e-16)
     assert np.abs(walk.r - closed_form_rank(fused).r).sum() <= walk.residual + 1e-15
+
+
+def test_random_walk_solves_dangling_vertices_in_closed_form():
+    # One graph with edges and four dangling vertices; and two tables, the
+    # first leaving vertex 3 without edges, which the second gives one, and
+    # the second leaving 9 and 10 without edges, which no table gives one.
+    one = _graph([-1, 1, 2, 3, 4, 5, 6, 7], [(0, 1, 0.5), (1, 2, 1.5), (0, 3, 0.25)])
+    g1 = _graph([-1, 1, 2, 3], [(0, 1, 0.5), (1, 2, 0.25)])
+    g2 = _graph([-1, 3, 9, 10, 11], [(0, 1, 0.75), (0, 4, 0.5)])
+    for graphs, dangling in (([one], [4, 5, 6, 7]), ([g1, g2], [9, 10])):
+        fused = transition_and_restart(fuse(graphs), alpha=0.85)
+        at = np.isin(fused.vertices, dangling)
+        np.testing.assert_array_equal(fused.dangling, at)
+        walk = random_walk(fused, tol=1e-13)
+        assert walk.converged
+        assert np.abs(walk.r - closed_form_rank(fused).r).sum() <= walk.residual + 1e-15
+        assert len(set(walk.r[at].tolist())) == 1
+        assert abs(walk.r.sum() - 1.0) <= 1e-12
+
+
+def test_candidate_graph_rejects_asymmetric_negative_and_mis_sized_edges():
+    # The walk's solver and its dangling closed form need omega = omega^T >= 0.
+    good = np.array([[0.0, 1.0], [1.0, 0.0]])
+    bad = {"symmetric": np.array([[0.0, 1.0], [0.5, 0.0]]),
+           "nonnegative": -good,
+           "3 x 3": np.zeros((3, 3))}
+    for what, edges in bad.items():
+        with pytest.raises(ValueError, match=f"graph 7: .*{what}"):
+            CandidateGraph(table_id=7, vertices=[-1, 4], edges=sp.csr_matrix(edges))
+    CandidateGraph(table_id=7, vertices=[-1, 4], edges=sp.csr_matrix(good))
 
 
 @pytest.mark.parametrize("n", [97, 563, 1601, 1602])

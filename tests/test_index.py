@@ -190,8 +190,8 @@ for q in split.query:
     fused = qsrf_search(index, [view.data[q] for view in ds.views], QsrfParams(top_n=100))
     digest.update(fused.ids.tobytes())
     digest.update(fused.scores.tobytes())
-# every database item a candidate: the walk's Krylov basis products then pass
-# OpenBLAS's gemv threading threshold (rows x columns >= 9216)
+# every database item a candidate: the largest fused graph this index gives, so
+# candidate_embedding's screen (a BLAS matmul) and the walk run at full size
 q = split.query[0]
 fused = qsrf_search(index, [view.data[q] for view in ds.views],
                     QsrfParams(top_n=len(split.database)))

@@ -100,3 +100,22 @@ def test_the_bound_and_the_counting_select_have_one_site_each():
     assert outer == set()
     assert _sites(SRC / "mvhash" / "hashing.py",
                   lambda node: _names(node, "bincount")) == {"hashing.py:topk"}
+
+
+def _matrix_product(node) -> bool:
+    """An @ product, or a dot or matmul call (np.dot, x.dot, np.matmul)."""
+    return ((isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dot", "matmul")))
+
+
+def test_the_walk_forms_no_matrix_product():
+    """random_walk, nested functions included, reaches the graph only through
+    the fused operator and forms no BLAS product, so its bits cannot depend on
+    the BLAS threads. It sizes no Krylov basis."""
+    tree = ast.parse((SRC / "mvhash" / "fusion.py").read_text())
+    walk = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "random_walk")
+    assert not any(_matrix_product(node) for node in ast.walk(walk))
+    assert any(_matrix_product(node) for node in ast.walk(tree))  # the check sees products
+    assert not hasattr(mvhash.fusion, "KRYLOV_DIM")
