@@ -18,8 +18,11 @@ from .binfile import BinaryReader
 from .hashing import HashModel, PackedCodes, encode, topk, words_per_item
 
 MAGIC_ANCHORS = b"MVHA"
-# points per screen block
-NEAREST_CHUNK = 2048
+# entries per block of a points x anchors screen (nearest_anchors, and
+# fusion.candidate_embedding's candidates x kept anchors): a block (125 KiB)
+# stays below glibc's default 128 KiB mmap threshold, so it comes from the
+# heap whatever the process allocated before.
+SCREEN_ENTRIES = 16000
 
 SparseRow = tuple[np.ndarray, np.ndarray]  # (anchor indices, values), aligned
 
@@ -77,27 +80,43 @@ class AnchorModel:
 
 
 def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator, iters: int = 25) -> np.ndarray:
-    """Lloyd's algorithm with k-means++ seeding; returns the k centers."""
-    n = data.shape[0]
-    centers = np.empty((k, data.shape[1]))
+    """Lloyd's algorithm with k-means++ seeding; returns the k centers.
+
+    Seeding keeps d2, each point's direct-sum squared distance to its nearest
+    center so far, and scores a new center c exactly only on the points whose
+    screen passes: fl(S - delta) <= d2, with S and delta from _screen. S -
+    delta <= E (see nearest_anchors), and rounding is monotone, so a point
+    that fails has E > d2 and min(d2, E) = d2: d2 keeps the bits that scoring
+    every point gives. Lloyd's update sums each cluster's members in
+    ascending index order (np.add.at) and divides by its count, which for d
+    >= 2 is members.mean(axis=0) bit for bit; an empty cluster redraws a
+    random point, in ascending cluster order.
+    """
+    n, d = data.shape
+    centers = np.empty((k, d))
     centers[0] = data[rng.integers(n)]
     d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    xx = (data ** 2).sum(axis=1)
     for c in range(1, k):
         probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
         centers[c] = data[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, ((data - centers[c]) ** 2).sum(axis=1))
+        center = centers[c:c + 1]
+        screen, delta = _screen(data, xx, center, (center ** 2).sum(axis=1))
+        near = np.flatnonzero(screen[:, 0] - delta <= d2)
+        d2[near] = np.minimum(d2[near], ((data[near] - center) ** 2).sum(axis=1))
     assign = None
     for _ in range(iters):
         new_assign = nearest_anchors(data, centers, 1)[0][:, 0]
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for c in range(k):
-            members = data[assign == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
-            else:
-                centers[c] = data[rng.integers(n)]
+        counts = np.bincount(assign, minlength=k)
+        sums = np.zeros((k, d))
+        np.add.at(sums, assign, data)
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
+        for c in np.flatnonzero(~filled):
+            centers[c] = data[rng.integers(n)]
     return centers
 
 
@@ -127,43 +146,61 @@ def kernel_rows(dist: np.ndarray, scale: float) -> np.ndarray:
     return vals
 
 
+def _screen(x: np.ndarray, xx: np.ndarray, anchors: np.ndarray, aa: np.ndarray):
+    """(S, delta): the screen S = |x|^2 + |a|^2 - 2 x.a of every (row, anchor),
+    shape (m, K), and per row a margin delta with |S - E| <= delta, where E
+    is the direct sum ((x - a) ** 2).sum(). xx and aa are the rows' and the
+    anchors' direct-sum squared norms. S is formed in place, as fl(fl(fl(-2
+    x.a) + |a|^2) + |x|^2); the bound is derived in nearest_anchors.
+    """
+    finfo = np.finfo(np.float64)
+    screen = x @ anchors.T
+    screen *= -2.0
+    screen += aa
+    screen += xx[:, None]
+    delta = 4.0 * (x.shape[1] + 2) * (finfo.eps * (xx + aa.max()) + finfo.tiny)
+    return screen, delta
+
+
 def nearest_anchors(points: np.ndarray, anchors: np.ndarray, s: int):
     """Each point's s nearest anchors, as (ids, d2), each (n, s).
 
     Rows are in (distance, anchor id) order and d2 holds the direct sums
     ((x - a) ** 2).sum(): bit for bit the first s of a stable argsort of all
-    of them, whatever the BLAS. Needs 1 <= s <= K. Memory: a (NEAREST_CHUNK,
-    K) screen, and the window's differences, about NEAREST_CHUNK * s * d.
+    of them, whatever the BLAS. Needs 1 <= s <= K. Memory: a screen block of
+    at most max(SCREEN_ENTRIES, K) entries, and the window's differences,
+    about (rows per block) * s * d.
 
-    Screen: S = |x|^2 + |a|^2 - 2 x.a. With u = eps/2, N = |x|^2 + |a|^2 and
-    D the exact distance: the norms and x.a are d-term sums within gamma_d =
-    d u / (1 - d u) of exact (|x.a| <= N/2), and two more roundings add
-    u (N + 2N), so |S - D| <= (2 gamma_d + 3u) N. The direct sum E rounds a
-    difference, a square and d - 1 additions a term: |E - D| <= gamma_{d+2} D
-    <= 2 gamma_{d+2} N, so |S - E| <= 2 (d + 2) eps N to first order. delta_x
-    = 4 (d + 2) (eps (|x|^2 + max |a|^2) + tiny) bounds it with a 2x margin
-    for second-order terms, the computed norms, the rounding of delta_x and
-    (tiny) gradual underflow. With S_(s) the row's s-th smallest S, the s
+    Screen (_screen): S = fl(fl(fl(-2 x.a) + |a|^2) + |x|^2). With u = eps/2,
+    N = |x|^2 + |a|^2 and D the exact distance: the norms and x.a are d-term
+    sums within gamma_d = d u / (1 - d u) of exact (|x.a| <= N/2), so they
+    contribute gamma_d N; the product by -2 is exact, and the two additions
+    round values of size at most 2N, adding 4u N. So |S - D| <= (2 gamma_d +
+    4u) N. The direct sum E rounds a difference, a square and d - 1
+    additions a term: |E - D| <= gamma_{d+2} D <= 2 gamma_{d+2} N, so |S - E|
+    <= 2 (d + 2) eps N to first order. delta_x = 4 (d + 2) (eps (|x|^2 + max
+    |a|^2) + tiny) bounds it with a 2x margin for second-order terms, the
+    computed norms, the rounding of delta_x and (tiny) gradual underflow.
+    With S_(s) the row's s-th smallest S (its minimum when s = 1), the s
     anchors of smallest S have E <= S_(s) + delta_x, so the s-th smallest E
     is at most that, and each anchor of the exact top s has S <= S_(s) +
     2 delta_x. Rounding is monotone, so S <= fl(S_(s) + 2 delta_x) keeps
     them all; only that window is scored exactly.
     """
-    n, d = points.shape
-    if not 1 <= s <= len(anchors):
-        raise ValueError(f"need 1 <= s <= {len(anchors)}, got s={s}")
+    n, k = len(points), len(anchors)
+    if not 1 <= s <= k:
+        raise ValueError(f"need 1 <= s <= {k}, got s={s}")
     if not (np.isfinite(points).all() and np.isfinite(anchors).all()):
         raise ValueError("points and anchors must be finite")
-    finfo = np.finfo(np.float64)
     aa = (anchors ** 2).sum(axis=1)
     ids, d2 = np.empty((n, s), dtype=np.intp), np.empty((n, s))
-    for lo in range(0, n, NEAREST_CHUNK):
-        x = points[lo:lo + NEAREST_CHUNK]
-        xx = (x ** 2).sum(axis=1)
-        screen = xx[:, None] + aa - 2.0 * (x @ anchors.T)
-        kth = np.partition(screen, s - 1, axis=1)[:, s - 1]
-        delta = 4.0 * (d + 2) * (finfo.eps * (xx + aa.max()) + finfo.tiny)
-        rows, cols = np.nonzero(screen <= (kth + 2.0 * delta)[:, None])
+    step = max(1, SCREEN_ENTRIES // k)
+    for lo in range(0, n, step):
+        x = points[lo:lo + step]
+        screen, delta = _screen(x, (x ** 2).sum(axis=1), anchors, aa)
+        kth = screen.min(axis=1) if s == 1 else np.partition(screen, s - 1, axis=1)[:, s - 1]
+        # flatnonzero and divmod take half the time of a 2-d np.nonzero
+        rows, cols = np.divmod(np.flatnonzero(screen <= (kth + 2.0 * delta)[:, None]), k)
         exact = ((x[rows] - anchors[cols]) ** 2).sum(axis=1)
         ids[lo:lo + len(x)], d2[lo:lo + len(x)] = smallest_per_row(rows, cols, exact, s)
     return ids, d2

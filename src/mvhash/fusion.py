@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .anchors import SparseEmbedding, kernel_rows, smallest_per_row
+from .anchors import SCREEN_ENTRIES, SparseEmbedding, kernel_rows, smallest_per_row
 from .hashing import PackedCodes, unpack_bits
 from .qrank import HashTable, QueryParams, QRankResult, qrank_query, weighted_hamming_scan
 
@@ -38,10 +38,6 @@ STALL = 0.5
 # The walk measures its residual once the recursive estimate has fallen this much
 # since the last measurement, before rounding can part the two far.
 MEASURE_DROP = 2.0 ** 40
-# entries per block of candidate_embedding's candidates x kept-anchors screen:
-# a block (125 KiB) stays below glibc's default 128 KiB mmap threshold, so it
-# comes from the heap whatever the process allocated before.
-SCREEN_ENTRIES = 16000
 
 
 @dataclass

@@ -127,13 +127,14 @@ def _itq_rotation(projected: np.ndarray, iters: int, rng: np.random.Generator):
     b = projected.shape[1]
     r0, _ = np.linalg.qr(rng.normal(size=(b, b)))
     rot = r0
+    v = projected @ rot
     losses = []
     for _ in range(iters):
-        v = projected @ rot
         binary = np.where(v >= 0.0, 1.0, -1.0)
         u, _, vt = np.linalg.svd(projected.T @ binary)
         rot = u @ vt
-        losses.append(float(np.linalg.norm(binary - projected @ rot) ** 2))
+        v = projected @ rot  # the loss's product is the next step's VR
+        losses.append(float(np.linalg.norm(binary - v) ** 2))
     return rot, losses
 
 

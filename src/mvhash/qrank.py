@@ -20,7 +20,7 @@ import numpy as np
 
 from .anchors import AnchorModel, embed, query_neighbor_profile
 from .binfile import BinaryReader
-from .hashing import (HashModel, PackedCodes, encode, encode_one, hamming_scan, pack_bits, topk,
+from .hashing import (HashModel, PackedCodes, encode_one, hamming_scan, pack_bits, topk,
                       unpack_bits)
 
 MAGIC_INDEP = b"MVHI"
@@ -157,13 +157,15 @@ def raw_weights(
     query: np.ndarray,
     gamma: float = 1.0,
     n_landmarks: int = 25,
+    query_words: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Per-bit weights w_k = exp(gamma * sum_p s(q,p) h_k(q) h_k(p)).
 
     The profile p ranges over the query's top-L landmarks with similarity
     weights summing to 1; h values are +-1 read off the query's code and the
     stored anchor codes. gamma=0 is allowed and gives unit weights (the
-    degenerate reduction to plain Hamming).
+    degenerate reduction to plain Hamming). query_words, the query's code
+    as encode_one returns it, saves encoding the query again.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -171,8 +173,10 @@ def raw_weights(
         raise ValueError("anchor model has no codes; attach the view's hash model first")
     z_q = embed(anchor_model, query)
     landmark_ids, profile = query_neighbor_profile(anchor_model, z_q, n_landmarks)
-    q_bits = unpack_bits(encode(hash_model, query))[0]
+    if query_words is None:
+        query_words = encode_one(hash_model, np.asarray(query, np.float64))
     codes = anchor_model.anchor_codes
+    q_bits = unpack_bits(PackedCodes(query_words[None], codes.bits))[0]
     a_bits = unpack_bits(PackedCodes(codes.words[landmark_ids], codes.bits))
     q_pm = 2.0 * q_bits.astype(np.float64) - 1.0
     a_pm = 2.0 * a_bits.astype(np.float64) - 1.0
@@ -389,8 +393,9 @@ def qrank_query(
     weights, so gamma=0 reduces exactly to plain Hamming ranking.
     """
     _check_top_n(top_n)
-    w = raw_weights(table.hash_model, table.anchor_model, query,
-                    gamma=params.gamma, n_landmarks=params.n_landmarks)
+    query_words = encode_one(table.hash_model, np.asarray(query, np.float64))
+    w = raw_weights(table.hash_model, table.anchor_model, query, gamma=params.gamma,
+                    n_landmarks=params.n_landmarks, query_words=query_words)
     cal = None
     if params.calibrate:
         cal = calibrate(w, table.independence, tol=params.calib_tol,
@@ -400,7 +405,6 @@ def qrank_query(
         pi = np.full(len(w), 1.0 / len(w))
         wstar = dyadic_weights(w)
     weights = BitWeights(raw=w, pi=pi, calibrated=wstar, gamma=params.gamma)
-    query_words = encode_one(table.hash_model, np.asarray(query, np.float64))
     order, dist = weighted_topk(table.codes, query_words, wstar, min(top_n, table.codes.n))
     return QRankResult(
         ids=table.db_ids[order],

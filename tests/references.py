@@ -27,6 +27,35 @@ def nearest_anchors_exhaustive(points, anchors, s):
     return ids, np.take_along_axis(d2, ids, axis=1)
 
 
+def kmeans_reference(data, k, rng, iters=25):
+    """k-means++ seeding that scores every point against each new center,
+    then Lloyd's iterations: assignment by `nearest_anchors_exhaustive`, each
+    center the mean of its members, an empty cluster redrawn at a random
+    point, stopping when the assignment repeats. `anchors._kmeans` screens
+    the seeding and groups the update; the tests compare the two."""
+    n = data.shape[0]
+    centers = np.empty((k, data.shape[1]))
+    centers[0] = data[rng.integers(n)]
+    d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
+        centers[c] = data[rng.choice(n, p=probs)]
+        d2 = np.minimum(d2, ((data - centers[c]) ** 2).sum(axis=1))
+    assign = None
+    for _ in range(iters):
+        new_assign = nearest_anchors_exhaustive(data, centers, 1)[0][:, 0]
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(k):
+            members = data[assign == c]
+            if len(members):
+                centers[c] = members.mean(axis=0)
+            else:
+                centers[c] = data[rng.integers(n)]
+    return centers
+
+
 def similarity(z_p, z_q, sigma):
     """Gaussian similarity exp(-||z_p - z_q||^2 / sigma^2) of two sparse rows,
     computed on dense copies.

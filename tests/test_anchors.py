@@ -1,5 +1,6 @@
 """Anchor selection, sparse kernel embeddings, similarity, neighbor profiles."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,9 @@ from mvhash import anchors as anchors_mod
 from mvhash.anchors import (AnchorModel, build_anchors, embed, load_anchor_model,
                             nearest_anchors, query_neighbor_profile, save_anchor_model,
                             smallest_per_row)
+from mvhash.dataset import gen_synthetic
 from mvhash.hashing import train
-from references import embed_many, nearest_anchors_exhaustive, similarity
+from references import embed_many, kmeans_reference, nearest_anchors_exhaustive, similarity
 
 
 def _model(data, k, s_nn, seed=0, method="random", with_codes=False):
@@ -55,6 +57,43 @@ def test_kmeans_anchors_land_inside_separated_clusters():
         cluster = data[labels == c]
         assert np.all(anchor >= cluster.min(axis=0) - 1e-9)
         assert np.all(anchor <= cluster.max(axis=0) + 1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 40), k_frac=st.floats(0, 1), d=st.integers(2, 8),
+       log_norm=st.floats(-3, 6), log_spread=st.integers(-20, 0), grid=st.booleans(),
+       dups=st.integers(0, 20), seed=st.integers(0, 2**32 - 1))
+def test_kmeans_matches_the_reference_bit_for_bit(n, k_frac, d, log_norm, log_spread, grid,
+                                                  dups, seed):
+    # Duplicate points tie seeding distances and assignments exactly; k near
+    # n empties clusters, so the update redraws. Points spread by as little
+    # as 2^-20 about an offset of norm up to 1e6 make the seeding screen
+    # cancel badly, so a screen without its margin would skip points that
+    # are nearer the new center; on a grid of that step, distances tie.
+    rng = np.random.default_rng(seed)
+    k = 1 + int(k_frac * (n - 1))
+    spread = 2.0 ** log_spread
+    offset = rng.uniform(-1, 1, size=d) * 10.0 ** log_norm / np.sqrt(d)
+    if grid:
+        data = spread * (np.round(offset / spread) + rng.integers(-2, 3, size=(n, d)))
+    else:
+        data = offset + spread * rng.normal(size=(n, d))
+    data[rng.integers(n, size=min(dups, n))] = data[rng.integers(n, size=min(dups, n))]
+    got = anchors_mod._kmeans(data, k, np.random.default_rng(seed))
+    want = kmeans_reference(data, k, np.random.default_rng(seed))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_kmeans_centres_are_pinned():
+    # Centres come from direct sums and the Generator alone, not from BLAS
+    # or LAPACK; the second corpus has 4 distinct points for 10 centres, so
+    # its clusters empty and redraw on every iteration.
+    h = hashlib.sha256()
+    for noise, k in ((0.3, 60), (0.0, 10)):
+        ds = gen_synthetic(n_clusters=4, per_cluster=40, n_views=1, dim=6, noise=noise, seed=5)
+        model = build_anchors(ds.views[0].data, k, method="kmeans", s_nn=3, seed=9)
+        h.update(np.ascontiguousarray(model.anchors, dtype="<f8").tobytes())
+    assert h.hexdigest() == "3a38ef414bd91507e58aaa1c553fc3570c98b9ca3e25506ccf83d9e3c212bdb1"
 
 
 def test_embedding_rows_probability_with_exact_support():
@@ -237,12 +276,14 @@ def test_sigma_is_the_largest_embedding_distance(n, method):
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 40), k=st.integers(1, 25), d=st.integers(1, 16),
        log_norm=st.floats(0, 6), grid=st.booleans(), s_pick=st.sampled_from(["1", "mid", "k"]),
-       chunk=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+       entries=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
 def test_nearest_anchors_matches_exhaustive_stable_argsort(n, k, d, log_norm, grid, s_pick,
-                                                           chunk, seed):
+                                                           entries, seed):
     # A common offset of norm up to 1e6 makes the screen's |x|^2 + |a|^2 -
     # 2 x.a cancel badly; integer grids, duplicate anchors and points placed
-    # on anchors force exact ties, also at the s-th place.
+    # on anchors force exact ties, also at the s-th place. A block holds
+    # max(1, entries // k) rows: one row when k > entries, and a short last
+    # block when that does not divide n.
     rng = np.random.default_rng(seed)
     offset = rng.uniform(-1, 1, size=d) * 10.0 ** log_norm / np.sqrt(d)
     if grid:
@@ -255,7 +296,7 @@ def test_nearest_anchors_matches_exhaustive_stable_argsort(n, k, d, log_norm, gr
     anchors[rng.integers(k, size=k // 3)] = anchors[rng.integers(k, size=k // 3)]
     points[:n // 3] = anchors[rng.integers(k, size=n // 3)]
     s = {"1": 1, "mid": (k + 1) // 2, "k": k}[s_pick]
-    with mock.patch.object(anchors_mod, "NEAREST_CHUNK", chunk):
+    with mock.patch.object(anchors_mod, "SCREEN_ENTRIES", entries):
         ids, d2 = nearest_anchors(points, anchors, s)
     ref_ids, ref_d2 = nearest_anchors_exhaustive(points, anchors, s)
     np.testing.assert_array_equal(ids, ref_ids)

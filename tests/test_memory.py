@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 
-from mvhash import build_index, gen_synthetic, make_split
+from mvhash import build_anchors, build_index, gen_synthetic, make_split
 from mvhash.hashing import encode, train
 
 MB = 2**20
@@ -43,6 +43,17 @@ def test_build_index_holds_one_database_slice():
     _, peak = traced_peak(lambda: build_index(ds, split, bits=48, family="lsh", anchors=100,
                                               seed=1))
     assert peak < 2 * slice_bytes
+
+
+def test_kmeans_anchors_hold_blocks_not_n_by_k_screens():
+    # 20k x 32 points, 300 centres. Screen blocks of SCREEN_ENTRIES entries,
+    # a screened seeding and a grouped update hold one data-sized difference
+    # (the first centre's) and a few (n,) vectors; a 2048 x 300 screen and
+    # its temporaries alone would hold about 3x the data.
+    data = gen_synthetic(n_clusters=20, per_cluster=1000, n_views=1, dim=32, noise=0.8,
+                         seed=7).views[0].data
+    _, peak = traced_peak(lambda: build_anchors(data, 300, method="kmeans", seed=1))
+    assert peak < 2 * data.nbytes
 
 
 def test_gen_synthetic_adds_its_noise_in_place():

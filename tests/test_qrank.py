@@ -437,6 +437,18 @@ def test_qrank_query_matches_weighted_oracle():
         np.testing.assert_array_equal(res.ids, table.db_ids[oracle])
 
 
+def test_qrank_query_encodes_the_query_once():
+    # every encode ends in one hashing.pack_bits call; raw_weights reads the
+    # words qrank_query passes it, and encodes the query itself without them
+    ds, split, idx = _small_table(seed=10)
+    table, x = idx.tables[0], ds.views[0].data[split.query[0]]
+    with mock.patch("mvhash.hashing.pack_bits", wraps=pack_bits) as packs:
+        res = qrank_query(table, x, QueryParams(gamma=1.0), top_n=50)
+    assert packs.call_count == 1
+    w = raw_weights(table.hash_model, table.anchor_model, x, gamma=1.0, n_landmarks=25)
+    assert w.tobytes() == res.weights.raw.tobytes()
+
+
 def test_qrank_degenerate_reduction_to_hamming():
     ds, split, idx = _small_table(seed=11)
     table = idx.tables[0]
