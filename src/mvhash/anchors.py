@@ -15,7 +15,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .binfile import BinaryReader
-from .hashing import HashModel, PackedCodes, encode, topk, words_per_item
+from .hashing import HashModel, PackedCodes, encode, read_codes, topk
 
 MAGIC_ANCHORS = b"MVHA"
 # entries per block of a points x anchors screen (nearest_anchors, and
@@ -168,8 +168,9 @@ def nearest_anchors(points: np.ndarray, anchors: np.ndarray, s: int):
     Rows are in (distance, anchor id) order and d2 holds the direct sums
     ((x - a) ** 2).sum(): bit for bit the first s of a stable argsort of all
     of them, whatever the BLAS. Needs 1 <= s <= K. Memory: a screen block of
-    at most max(SCREEN_ENTRIES, K) entries, and the window's differences,
-    about (rows per block) * s * d.
+    at most max(SCREEN_ENTRIES, K) entries, a block's window differences,
+    about (rows per block) * s * d, and every block's window (row, anchor id,
+    d2), about n * s entries, ordered once by smallest_per_row.
 
     Screen (_screen): S = fl(fl(fl(-2 x.a) + |a|^2) + |x|^2). With u = eps/2,
     N = |x|^2 + |a|^2 and D the exact distance: the norms and x.a are d-term
@@ -193,17 +194,17 @@ def nearest_anchors(points: np.ndarray, anchors: np.ndarray, s: int):
     if not (np.isfinite(points).all() and np.isfinite(anchors).all()):
         raise ValueError("points and anchors must be finite")
     aa = (anchors ** 2).sum(axis=1)
-    ids, d2 = np.empty((n, s), dtype=np.intp), np.empty((n, s))
     step = max(1, SCREEN_ENTRIES // k)
-    for lo in range(0, n, step):
+    windows = []
+    for lo in range(0, max(n, 1), step):  # one empty block when n = 0
         x = points[lo:lo + step]
         screen, delta = _screen(x, (x ** 2).sum(axis=1), anchors, aa)
         kth = screen.min(axis=1) if s == 1 else np.partition(screen, s - 1, axis=1)[:, s - 1]
         # flatnonzero and divmod take half the time of a 2-d np.nonzero
         rows, cols = np.divmod(np.flatnonzero(screen <= (kth + 2.0 * delta)[:, None]), k)
-        exact = ((x[rows] - anchors[cols]) ** 2).sum(axis=1)
-        ids[lo:lo + len(x)], d2[lo:lo + len(x)] = smallest_per_row(rows, cols, exact, s)
-    return ids, d2
+        windows.append((rows + lo, cols, ((x[rows] - anchors[cols]) ** 2).sum(axis=1)))
+    # the blocks' windows, in row order, are one window in ascending (row, col) order
+    return smallest_per_row(*(np.concatenate(part) for part in zip(*windows)), s)
 
 
 def _embed_matrix(points: np.ndarray, anchors: np.ndarray, s_nn: int, bandwidth: float) -> SparseEmbedding:
@@ -219,8 +220,14 @@ def build_anchors(
     s_nn: int = 5,
     seed: int = 0,
     hash_model: Optional[HashModel] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> AnchorModel:
-    """Pick K anchors from the database matrix and fix the view's kernel scales.
+    """Pick K anchors from the database rows of data and fix the view's kernel scales.
+
+    rows names the database rows of data (default: every row); the result is
+    bit for bit that of build_anchors(data[rows], ...). Random anchors and the
+    point samples below gather only the rows they draw; k-means gathers
+    data[rows] once, as it uses every row.
 
     method "random" samples rows without replacement; "kmeans" runs Lloyd's
     with k-means++ seeding for at most 25 iterations. The kernel bandwidth is
@@ -229,28 +236,29 @@ def build_anchors(
     sample, clamped to at least 1e-6. Pass hash_model to attach anchor codes.
     """
     data = np.asarray(data, dtype=np.float64)
-    n = data.shape[0]
+    ids = np.arange(len(data)) if rows is None else np.asarray(rows)
+    n = len(ids)
     if k > n:
         raise ValueError(f"K={k} exceeds n={n}")
     if not (1 <= s_nn <= k):
         raise ValueError(f"need 1 <= s_nn <= K, got s_nn={s_nn} K={k}")
     rng = np.random.default_rng(seed)
     if method == "random":
-        anchors = data[np.sort(rng.choice(n, size=k, replace=False))].copy()
+        anchors = data[ids[np.sort(rng.choice(n, size=k, replace=False))]]
     elif method == "kmeans":
-        anchors = _kmeans(data, k, rng)
+        anchors = _kmeans(data if rows is None else data[ids], k, rng)
     else:
         raise ValueError(f"unknown anchor method {method!r}")
 
     sample_idx = rng.choice(n, size=min(n, 1000), replace=False)
-    kth = nearest_anchors(data[sample_idx], anchors, s_nn)[1][:, s_nn - 1]
+    kth = nearest_anchors(data[ids[sample_idx]], anchors, s_nn)[1][:, s_nn - 1]
     bandwidth = float(np.sqrt(kth).mean()) or 1e-9  # 0 when every sample sits on s_nn anchors
 
     landmark_emb = _embed_matrix(anchors, anchors, s_nn, bandwidth)
 
     pair_idx = rng.integers(0, n, size=(1000, 2))
     pair_pts = np.unique(pair_idx)
-    emb = _embed_matrix(data[pair_pts], anchors, s_nn, bandwidth)
+    emb = _embed_matrix(data[ids[pair_pts]], anchors, s_nn, bandwidth)
     a, b = np.searchsorted(pair_pts, pair_idx).T
     # |z_a - z_b|^2 = |z_a|^2 + |z_b|^2 - 2 z_a.z_b, with the b rows scattered dense
     dense_b = np.zeros((len(b), k))
@@ -327,7 +335,7 @@ def load_anchor_model(path: Union[str, Path]) -> AnchorModel:
     k, dim, s_nn, bandwidth, sigma = rd.header("<IIIdd")
     anchors = rd.array("<f8", k, dim)
     (bits,) = rd.header("<I")
-    codes = PackedCodes(words=rd.array("<u8", k, words_per_item(bits)), bits=bits)
+    codes = read_codes(rd, k, bits)
     emb = SparseEmbedding(indices=rd.array("<i4", k, s_nn), values=rd.array("<f8", k, s_nn))
     return rd.done(AnchorModel(anchors=anchors, kernel_bandwidth=bandwidth, s_nn=s_nn,
                                sigma=sigma, landmark_embeddings=emb, anchor_codes=codes))

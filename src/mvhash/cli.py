@@ -168,19 +168,22 @@ def cmd_synth(args) -> int:
     ]))
     out_dir = Path(args.out or (Path(cfg.output) / "data"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    ds = gen_synthetic(
-        n_clusters=cfg.synth_clusters,
-        per_cluster=cfg.synth_per_cluster,
-        n_views=cfg.synth_views,
-        dim=cfg.synth_dim,
-        noise=cfg.synth_noise,
-        seed=cfg.seed,
-    )
     view_paths = []
-    for m, view in enumerate(ds.views):
-        path = out_dir / f"view{m}.mvh"
-        save_vectors(path, view.data)
-        view_paths.append(str(path))
+    try:  # a large enough noise overflows float64, or the files' float32
+        ds = gen_synthetic(
+            n_clusters=cfg.synth_clusters,
+            per_cluster=cfg.synth_per_cluster,
+            n_views=cfg.synth_views,
+            dim=cfg.synth_dim,
+            noise=cfg.synth_noise,
+            seed=cfg.seed,
+        )
+        for m, view in enumerate(ds.views):
+            path = out_dir / f"view{m}.mvh"
+            save_vectors(path, view.data)
+            view_paths.append(str(path))
+    except ValueError as exc:
+        raise CliError(f"synth failed: {exc}") from None
     labels_path = out_dir / "labels.txt"
     save_labels(labels_path, ds.labels)
     _log(f"synth: wrote {ds.n} items, {ds.n_views} views to {out_dir}")

@@ -94,11 +94,17 @@ def save_vectors(path: Union[str, Path], data: np.ndarray) -> None:
     """Write an (n, d) matrix in the binary vector format.
 
     Layout: magic "MVH1", u32 n, u32 d, then n*d little-endian float32 values
-    row-major. Values are cast to float32 on write.
+    row-major. Values are cast to float32 on write; a row that is not finite
+    as float32 (beyond its range, or inf or nan) is a ValueError naming it,
+    and no file is written.
     """
-    data = np.ascontiguousarray(data, dtype="<f4")
+    with np.errstate(over="ignore"):
+        data = np.ascontiguousarray(data, dtype="<f4")
     if data.ndim != 2:
         raise ValueError("save_vectors expects a 2-d matrix")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}: row {bad[0]} is not finite as float32")
     n, d = data.shape
     with open(path, "wb") as fh:
         fh.write(MAGIC_VECTORS)

@@ -30,8 +30,11 @@ ENCODE_BLOCK = 8192
 class HashModel:
     """Trained hash function: bit k of x = sign((rotation @ projection @ (x - mean))_k).
 
-    rotation is identity for lsh and pcah. Arrays are float64, the precision
-    they are serialized at, so a save/load round trip encodes identically.
+    rotation is exactly the identity for lsh and pcah, and encode skips its
+    product; only itq learns one. Arrays are float64, the precision they are
+    serialized at, so a save/load round trip encodes identically. A
+    non-finite array, or an lsh or pcah rotation other than np.eye(B), is a
+    ValueError.
     """
 
     family: str
@@ -45,6 +48,11 @@ class HashModel:
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.projection = np.asarray(self.projection, dtype=np.float64)
         self.rotation = np.asarray(self.rotation, dtype=np.float64)
+        for name in ("mean", "projection", "rotation"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"non-finite value in the {name}")
+        if self.family != "itq" and not np.array_equal(self.rotation, np.eye(self.bits)):
+            raise ValueError(f"{self.family} rotation must be the {self.bits} x {self.bits} identity")
 
     @property
     def bits(self) -> int:
@@ -81,13 +89,16 @@ def words_per_item(bits: int) -> int:
 def pack_bits(bits01: np.ndarray) -> PackedCodes:
     """Pack an (n, B) 0/1 matrix into codes. Bit k of item i = bits01[i, k]."""
     bits01 = np.asarray(bits01)
-    n, b = bits01.shape
-    nbytes = words_per_item(b) * 8
-    packed = np.packbits(bits01.astype(np.uint8), axis=1, bitorder="little")
-    if packed.shape[1] < nbytes:
-        pad = np.zeros((n, nbytes - packed.shape[1]), dtype=np.uint8)
-        packed = np.hstack([packed, pad])
-    return PackedCodes(words=np.ascontiguousarray(packed).view(np.uint64), bits=b)
+    words = np.zeros((len(bits01), words_per_item(bits01.shape[1])), dtype=np.uint64)
+    _pack_rows(words, 0, bits01)
+    return PackedCodes(words=words, bits=bits01.shape[1])
+
+
+def _pack_rows(words: np.ndarray, lo: int, bits01: np.ndarray) -> None:
+    """Write bits01's rows, packed, into words[lo:lo + len(bits01)]; bytes past
+    the last bit are left as they are (zero in a fresh array)."""
+    packed = np.packbits(bits01, axis=1, bitorder="little")
+    words.view(np.uint8)[lo:lo + len(packed), :packed.shape[1]] = packed
 
 
 def unpack_bits(codes: PackedCodes) -> np.ndarray:
@@ -177,18 +188,23 @@ def encode(model: HashModel, data: np.ndarray) -> PackedCodes:
     """Encode rows of data into packed codes under the model.
 
     Bit k of item i is 1 iff (rotation @ projection @ (x_i - mean))_k >= 0.
-    More than ENCODE_BLOCK rows are encoded a block at a time; each row's bits
-    do not depend on the rows encoded with it.
+    Rows are projected ENCODE_BLOCK at a time, and each block's bits are
+    packed straight into the output; a row's bits do not depend on the rows
+    encoded with it. Only itq's rotation is applied: for lsh and pcah it is
+    the identity, whose product changes a finite value at most from -0.0 to
+    +0.0, which the sign test treats alike.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[1] != model.dim:
         raise ValueError(f"data dim {data.shape[1]} does not match model dim {model.dim}")
-    if len(data) > ENCODE_BLOCK:
-        return PackedCodes(np.concatenate([encode(model, data[i:i + ENCODE_BLOCK]).words
-                                           for i in range(0, len(data), ENCODE_BLOCK)]),
-                           model.bits)
-    vals = (data - model.mean) @ model.projection.T @ model.rotation.T
-    return pack_bits(vals >= 0.0)
+    words = np.zeros((len(data), words_per_item(model.bits)), dtype=np.uint64)
+    for lo in range(0, len(data), ENCODE_BLOCK):
+        vals = (data[lo:lo + ENCODE_BLOCK] - model.mean) @ model.projection.T
+        if model.family == "itq":
+            vals = vals @ model.rotation.T
+        _pack_rows(words, lo, vals >= 0.0)
+        del vals  # free this block's values before the next block forms its own
+    return PackedCodes(words=words, bits=model.bits)
 
 
 def encode_one(model: HashModel, x: np.ndarray) -> np.ndarray:
@@ -240,9 +256,13 @@ def load_model(path: Union[str, Path]) -> HashModel:
     fam, bits, dim = rd.header("<BII")
     if fam >= len(FAMILIES):
         raise ValueError(f"{path}: unknown family tag {fam}")
-    return rd.done(HashModel(family=FAMILIES[fam], mean=rd.array("<f8", dim),
-                             projection=rd.array("<f8", bits, dim),
-                             rotation=rd.array("<f8", bits, bits)))
+    arrays = dict(mean=rd.array("<f8", dim), projection=rd.array("<f8", bits, dim),
+                  rotation=rd.array("<f8", bits, bits))
+    try:
+        model = HashModel(family=FAMILIES[fam], **arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return rd.done(model)
 
 
 def save_codes(path: Union[str, Path], codes: PackedCodes) -> None:
@@ -256,4 +276,15 @@ def save_codes(path: Union[str, Path], codes: PackedCodes) -> None:
 def load_codes(path: Union[str, Path]) -> PackedCodes:
     rd = BinaryReader(path, MAGIC_CODES, "codes")
     n, bits = rd.header("<II")
-    return rd.done(PackedCodes(words=rd.array("<u8", n, words_per_item(bits)), bits=bits))
+    return rd.done(read_codes(rd, n, bits))
+
+
+def read_codes(rd: BinaryReader, n: int, bits: int) -> PackedCodes:
+    """The next n items' words of a file; a set padding bit, which hamming_scan
+    would count, is a ValueError naming the file and the row."""
+    codes = PackedCodes(words=rd.array("<u8", n, words_per_item(bits)), bits=bits)
+    if bits % 64:
+        bad = np.flatnonzero(codes.words[:, -1] >> np.uint64(bits % 64))
+        if len(bad):
+            raise ValueError(f"{rd.path}: code row {bad[0]} sets padding bits past bit {bits}")
+    return codes

@@ -20,7 +20,7 @@ import numpy as np
 from .anchors import build_anchors, load_anchor_model, save_anchor_model
 from .binfile import BinaryReader
 from .dataset import DatasetSplit, MultiViewDataset
-from .hashing import encode, load_codes, load_model, save_codes, save_model, train
+from .hashing import PackedCodes, encode, load_codes, load_model, save_codes, save_model, train
 from .qrank import HashTable, independence_matrix, load_independence, save_independence
 
 MAGIC_SPLIT = b"MVHS"
@@ -65,21 +65,26 @@ def build_index(
     seed: int = 7,
     params: dict | None = None,
 ) -> MultiViewIndex:
-    """Offline stage: per view, train hashes, encode the database, pick anchors,
-    and compute the bit-independence matrix on the training split."""
+    """Offline stage: per view, train hashes on the training rows, encode the
+    view once, pick anchors among the database rows, and compute the
+    bit-independence matrix on the training codes.
+
+    The database and training codes are row selections of the view's codes,
+    and random anchors gather the database rows they need by id, so beyond
+    the corpus a view holds one encode block and its codes, not a database
+    slice (k-means anchors gather the database rows once, as they use all).
+    """
     tables = []
     for m, view in enumerate(dataset.views):
-        train_data = view.data[split.train]
-        model = train(family, train_data, bits, seed=_view_seed(seed, m, 1), itq_iters=itq_iters)
-        db = view.data[split.database]
-        db_codes = encode(model, db)
+        model = train(family, view.data[split.train], bits, seed=_view_seed(seed, m, 1),
+                      itq_iters=itq_iters)
+        codes = encode(model, view.data)
         anchor_model = build_anchors(
-            db, anchors, method=anchor_method, s_nn=s_nn,
-            seed=_view_seed(seed, m, 2), hash_model=model,
+            view.data, anchors, method=anchor_method, s_nn=s_nn,
+            seed=_view_seed(seed, m, 2), hash_model=model, rows=split.database,
         )
-        # free this view's database slice before the next view slices its own
-        del db
-        indep = independence_matrix(encode(model, train_data), lam=lam)
+        indep = independence_matrix(PackedCodes(codes.words[split.train], bits), lam=lam)
+        db_codes = PackedCodes(codes.words[split.database], bits)
         tables.append(HashTable(
             name=view.name,
             hash_model=model,

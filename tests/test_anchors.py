@@ -256,6 +256,27 @@ def test_build_deterministic():
     assert m1.sigma == m2.sigma
 
 
+@pytest.mark.parametrize("method", ["random", "kmeans"])
+@pytest.mark.parametrize("n_rows", [12, 400, 1500])
+def test_anchors_from_row_ids_equal_anchors_from_the_slice(method, n_rows):
+    # 1500 rows: the bandwidth sample (1000) and the sigma pairs draw a subset
+    rng = np.random.default_rng(n_rows)
+    data = rng.normal(size=(n_rows + 150, 6))
+    ids = np.sort(rng.choice(len(data), size=n_rows, replace=False))
+    hm = train("lsh", data, 10, seed=3)
+    k = min(n_rows, 40)
+    got = build_anchors(data, k, method=method, s_nn=3, seed=5, hash_model=hm, rows=ids)
+    want = build_anchors(data[ids], k, method=method, s_nn=3, seed=5, hash_model=hm)
+    for a, b in ((got.anchors, want.anchors),
+                 (got.landmark_embeddings.indices, want.landmark_embeddings.indices),
+                 (got.landmark_embeddings.values, want.landmark_embeddings.values),
+                 (got.anchor_codes.words, want.anchor_codes.words)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert (got.kernel_bandwidth, got.sigma) == (want.kernel_bandwidth, want.sigma)
+    with pytest.raises(ValueError, match=f"K={n_rows + 1} exceeds n={n_rows}"):
+        build_anchors(data, n_rows + 1, method=method, rows=ids)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("method", ["random", "kmeans"])
 def test_sigma_is_the_largest_embedding_distance(n, method):

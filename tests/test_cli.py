@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 import subprocess
 import sys
 from unittest import mock
@@ -80,6 +81,16 @@ def test_synth_rerun_is_byte_identical(capsys, tmp_path):
         assert open(p1, "rb").read() == open(p2, "rb").read()
     assert (tmp_path / "a" / "labels.txt").read_bytes() == \
            (tmp_path / "b" / "labels.txt").read_bytes()
+
+
+def test_synth_noise_beyond_float32_or_float64_is_an_error(capsys, tmp_path):
+    # 1e39 overflows the files' float32, 1e308 the float64 corpus itself
+    for noise, message in (("1e39", "view0.mvh: row 0 is not finite as float32"),
+                           ("1e308", "view 'view0': non-finite value")):
+        code, out, err = _run(capsys, ["synth", "--out", str(tmp_path), "--synth-noise", noise])
+        assert (code, out) == (1, "")
+        assert err.startswith("mvhash: error: synth failed: ") and message in err
+        assert not list(tmp_path.glob("*.mvh"))
 
 
 # -------------------------------------------------------------------- build
@@ -582,6 +593,32 @@ def test_cut_or_padded_bundle_file_is_an_error(capsys, tmp_path):
             (bundle / "manifest.json").write_text(json.dumps({**manifest, "files": files}))
             err = _query_bundle(capsys, bundle, qfile)
             assert name in err and ("truncated" in err or "trailing bytes" in err)
+        (bundle / name).write_bytes(blob)
+
+
+def test_bundle_with_bad_code_or_model_values_is_an_error(capsys, tmp_path):
+    # Files whose hashes match their bytes and whose lengths are right: only
+    # the value checks can catch them. Default lsh, 16 bits: the last byte of
+    # each code is padding, and the rotation (16 x 16 float64s) ends the model.
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle")
+    qfile = _query_files(data, tmp_path)[0]
+    bundle = tmp_path / "bundle"
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    for name, at, value, message in (
+            ("view0.codes.bin", -1, b"\x80", "code row 79 sets padding bits past bit 16"),
+            ("view0.model.bin", -8 * 16 * 16 + 8, struct.pack("<d", 0.5),
+             "lsh rotation must be the 16 x 16 identity"),
+            ("view0.model.bin", -8, struct.pack("<d", float("nan")),
+             "non-finite value in the rotation")):
+        blob = (bundle / name).read_bytes()
+        bad = bytearray(blob)
+        bad[at:at + len(value) or None] = value
+        (bundle / name).write_bytes(bytes(bad))
+        files = {**manifest["files"], name: hashlib.sha256(bad).hexdigest()}
+        (bundle / "manifest.json").write_text(json.dumps({**manifest, "files": files}))
+        err = _query_bundle(capsys, bundle, qfile)
+        assert f"{bundle / name}: {message}" in err
         (bundle / name).write_bytes(blob)
 
 

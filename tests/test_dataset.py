@@ -1,6 +1,8 @@
 """Dataset plumbing: file formats, splits, ground truth, synthetic generator."""
 
 import hashlib
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,23 @@ def test_binary_roundtrip_identity(tmp_path):
     assert back.shape == (3, 2)
     assert back.dtype == np.float64
     np.testing.assert_array_equal(back, data)
+
+
+def test_save_vectors_refuses_values_beyond_float32(tmp_path):
+    # float32's largest finite value is about 3.4028e38; a larger one would
+    # be written as inf and refused by load_vectors only at the next command
+    path = tmp_path / "v.mvh"
+    top = float(np.finfo(np.float32).max)
+    save_vectors(path, np.array([[top, -top]]))  # the range's ends still fit
+    for bad in (4e38, -1e300, np.inf, np.nan):
+        data = np.zeros((5, 2))
+        data[3, 1] = bad
+        path.unlink(missing_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 3 "):
+                save_vectors(path, data)
+        assert not path.exists()
 
 
 def test_binary_truncated_payload_rejected(tmp_path):

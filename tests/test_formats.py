@@ -85,3 +85,38 @@ def test_cut_or_padded_file_is_rejected_naming_its_path(name, data):
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 load(path)
+
+
+@pytest.mark.parametrize("bits", [1, 48, 63, 65])
+def test_set_padding_bits_are_rejected_naming_the_file(tmp_path, bits):
+    # hamming_scan counts every bit of the words, so a set padding bit would
+    # add one to each distance from that item
+    codes = _codes(bits)
+    anchors = build_anchors(_data, 8, s_nn=3, seed=2, hash_model=train("lsh", _data, bits, seed=3))
+    for name, save, load, obj, target in (
+            ("codes", save_codes, load_codes, codes, codes),
+            ("anchors", save_anchor_model, load_anchor_model, anchors, anchors.anchor_codes)):
+        target.words[3, -1] |= np.uint64(1) << np.uint64(63)
+        path = tmp_path / f"{name}.bin"
+        save(path, obj)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: code row 3 sets padding"):
+            load(path)
+
+
+def test_bad_model_values_are_rejected_naming_the_file(tmp_path):
+    # a 4-bit model of 6-d data: after the header come 6 mean, 4 x 6
+    # projection and 4 x 4 rotation float64s
+    header = len(b"MVHM") + struct.calcsize("<IBII")
+    path = tmp_path / "model.bin"
+    for family, at, value, what in (
+            ("lsh", 1, np.nan, "non-finite value in the mean"),
+            ("pcah", 6 + 8, np.inf, "non-finite value in the projection"),
+            ("itq", 30, -np.inf, "non-finite value in the rotation"),
+            ("lsh", 30 + 1, 1e-300, "lsh rotation must be the 4 x 4 identity"),
+            ("pcah", 30 + 10, -1.0, "pcah rotation must be the 4 x 4 identity")):
+        save_model(path, train(family, _data, 4, seed=1))
+        blob = bytearray(path.read_bytes())
+        blob[header + 8 * at:header + 8 * at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {what}$"):
+            load_model(path)

@@ -142,6 +142,41 @@ def test_block_encoding_gives_the_one_shot_codes(family, bits, block, rows, seed
     np.testing.assert_array_equal(codes.words, one_shot.words)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["lsh", "pcah"]), st.sampled_from([1, 48, 64, 65]),
+       st.sampled_from([1, 2, 5]), st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_lsh_and_pcah_encode_skips_only_an_identity_product(family, bits, block, n, seed):
+    # Rows at the mean centre to +0.0; rows at -0.0 about a zero mean centre
+    # to -0.0. Either projects to 0, which the sign test sends to bit 1 with
+    # or without the identity product.
+    rng = np.random.default_rng(seed)
+    dim = bits + 2
+    trained = train(family, rng.normal(size=(dim + 20, dim)), bits, seed=seed)
+    for model in (trained, HashModel(family, np.zeros(dim), trained.projection, np.eye(bits))):
+        x = rng.normal(size=(n + 3, dim))
+        x[rng.integers(n + 3, size=2)] = model.mean
+        x[rng.integers(n + 3)] = -0.0
+        want = pack_bits(((x - model.mean) @ model.projection.T @ np.eye(bits)) >= 0.0)
+        with mock.patch.object(hashing, "ENCODE_BLOCK", block):
+            np.testing.assert_array_equal(encode(model, x).words, want.words)
+
+
+def test_hash_model_rejects_non_finite_arrays_and_a_learned_lsh_or_pcah_rotation():
+    mean, proj = np.zeros(3), np.ones((2, 3))
+    for arrays in ((np.array([0.0, np.nan, 0.0]), proj, np.eye(2)),
+                   (mean, np.full((2, 3), np.inf), np.eye(2)),
+                   (mean, proj, np.array([[1.0, 0.0], [0.0, -np.inf]]))):
+        for family in FAMILIES:
+            with pytest.raises(ValueError, match="non-finite"):
+                HashModel(family, *arrays)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for family in ("lsh", "pcah"):
+        for rot in (swap, np.eye(2) * (1 + 2**-52), np.eye(3)):
+            with pytest.raises(ValueError, match="identity"):
+                HashModel(family, mean, proj, rot)
+    assert HashModel("itq", mean, proj, swap).family == "itq"
+
+
 def test_encode_dimension_mismatch():
     model = HashModel(family="lsh", mean=np.zeros(2), projection=np.eye(2),
                       rotation=np.eye(2))

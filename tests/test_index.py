@@ -1,5 +1,6 @@
 """Tests for the multi-view index build and the on-disk bundle format."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -20,7 +21,9 @@ from mvhash import (
     qsrf_search,
     save_bundle,
 )
+from mvhash.hashing import encode
 from mvhash.index import load_split, save_split
+from mvhash.qrank import independence_matrix
 
 
 def _dataset(seed=5, n_views=2):
@@ -45,6 +48,38 @@ def test_build_index_shapes_and_alignment():
         assert table.anchor_model.anchor_codes is not None
         assert table.anchor_model.anchor_codes.n == 30
         assert table.independence.a.shape == (16, 16)
+
+
+@pytest.mark.parametrize("family", ["lsh", "pcah", "itq"])
+def test_build_index_codes_are_the_database_rows_codes(family):
+    # one encode of every row, then row selections: the database codes and
+    # the training codes the independence matrix is estimated on
+    ds, split = _dataset(seed=8)
+    idx = build_index(ds, split, bits=12, family=family, anchors=30, s_nn=3, seed=8)
+    for table, view in zip(idx.tables, ds.views):
+        want = encode(table.hash_model, view.data[split.database])
+        assert table.codes.words.tobytes() == want.words.tobytes()
+        indep = independence_matrix(encode(table.hash_model, view.data[split.train]), lam=1.0)
+        assert table.independence.a.tobytes() == indep.a.tobytes()
+
+
+@pytest.mark.parametrize("family, bits, digest", [
+    ("lsh", 48, "b563f428869c0b65c2c71bdafcf690cb1c913fdfdaa5ca4673e93f6e2327184a"),
+    ("pcah", 10, "5e16a0de923e05872e8a338f000333e580ed68045f59c21c234cec92e48b5854"),
+], ids=["lsh", "pcah"])
+def test_model_and_code_files_are_pinned(tmp_path, family, bits, digest):
+    # Digests of both views' model and codes files, as the build wrote them
+    # when it still applied the identity rotation; pcah's directions come from
+    # LAPACK's eigh, so another LAPACK build may round them differently.
+    ds = gen_synthetic(n_clusters=4, per_cluster=60, n_views=2, dim=12, seed=3)
+    split = make_split(ds.n, n_train=60, n_query=20, seed=2)
+    save_bundle(build_index(ds, split, bits=bits, family=family, anchors=20, s_nn=3, seed=4),
+                tmp_path)
+    h = hashlib.sha256()
+    for m in range(2):
+        for kind in ("model", "codes"):
+            h.update((tmp_path / f"view{m}.{kind}.bin").read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_views_get_distinct_hash_models():
@@ -134,13 +169,19 @@ def test_tampered_bundle_is_rejected(tmp_path):
     save_bundle(idx, tmp_path / "bundle")
     victim = tmp_path / "bundle" / "view0.codes.bin"
     blob = bytearray(victim.read_bytes())
-    blob[-1] ^= 0xFF
+    blob[16] ^= 0xFF  # bits 0-7 of the first code, after the 16-byte header
     victim.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="hash mismatch"):
         load_bundle(tmp_path / "bundle")
     # verify=False skips the content check and loads anyway.
     loaded = load_bundle(tmp_path / "bundle", verify=False)
     assert loaded.n_views == 2
+    # The last byte of a 16-bit code is padding, which the codes reader
+    # checks whether or not the content hashes are verified.
+    blob[-1] ^= 0xFF
+    victim.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="padding bits"):
+        load_bundle(tmp_path / "bundle", verify=False)
 
 
 def test_missing_manifest_is_rejected(tmp_path):

@@ -1,4 +1,4 @@
-"""The offline build's memory: bounded by one block or one database slice, not by n."""
+"""The offline build's memory: bounded by blocks and codes, not by a database slice or n."""
 
 import tracemalloc
 
@@ -36,13 +36,17 @@ def test_encode_peak_does_not_grow_with_n():
     assert peak < 16 * MB
 
 
-def test_build_index_holds_one_database_slice():
+def test_build_index_holds_no_database_slice():
+    # Each view is encoded once, a block at a time, and random anchors gather
+    # the database rows they draw: the build holds encode blocks, the codes
+    # and the index it returns (about 0.4 of a slice here), not the 19.5 MB
+    # slice it gathered before.
     ds = gen_synthetic(n_clusters=10, per_cluster=8000, n_views=2, dim=32)
     split = make_split(ds.n, n_train=500, n_query=200, seed=1)
     slice_bytes = len(split.database) * ds.views[0].data[0].nbytes
     _, peak = traced_peak(lambda: build_index(ds, split, bits=48, family="lsh", anchors=100,
                                               seed=1))
-    assert peak < 2 * slice_bytes
+    assert peak < 0.6 * slice_bytes
 
 
 def test_kmeans_anchors_hold_blocks_not_n_by_k_screens():

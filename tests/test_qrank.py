@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvhash import qrank
+from mvhash import hashing, qrank
 from mvhash.anchors import build_anchors
 from mvhash.dataset import gen_synthetic, make_split
 from mvhash.fusion import QsrfParams, qsrf_search
@@ -438,11 +438,12 @@ def test_qrank_query_matches_weighted_oracle():
 
 
 def test_qrank_query_encodes_the_query_once():
-    # every encode ends in one hashing.pack_bits call; raw_weights reads the
-    # words qrank_query passes it, and encodes the query itself without them
+    # every encode of one row packs it with one hashing._pack_rows call;
+    # raw_weights reads the words qrank_query passes it, and encodes the
+    # query itself without them
     ds, split, idx = _small_table(seed=10)
     table, x = idx.tables[0], ds.views[0].data[split.query[0]]
-    with mock.patch("mvhash.hashing.pack_bits", wraps=pack_bits) as packs:
+    with mock.patch("mvhash.hashing._pack_rows", wraps=hashing._pack_rows) as packs:
         res = qrank_query(table, x, QueryParams(gamma=1.0), top_n=50)
     assert packs.call_count == 1
     w = raw_weights(table.hash_model, table.anchor_model, x, gamma=1.0, n_landmarks=25)
