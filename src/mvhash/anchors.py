@@ -23,6 +23,7 @@ MAGIC_ANCHORS = b"MVHA"
 # stays below glibc's default 128 KiB mmap threshold, so it comes from the
 # heap whatever the process allocated before.
 SCREEN_ENTRIES = 16000
+KMEANS_ITERS = 25  # Lloyd updates at most, for method="kmeans"
 
 SparseRow = tuple[np.ndarray, np.ndarray]  # (anchor indices, values), aligned
 
@@ -49,7 +50,10 @@ class AnchorModel:
     landmark_embeddings holds each anchor's own sparse embedding against the
     anchor set, precomputed so query-to-landmark similarities are cheap online.
     anchor_codes are the anchors' hash codes under the view's HashModel; they
-    are attached at index build time (None until then).
+    are attached at index build time (None until then). Non-finite anchors,
+    a bandwidth or sigma that is not finite and positive, and landmark rows
+    with an anchor id outside [0, K) or a value that is not finite and
+    nonnegative are a ValueError.
     """
 
     anchors: np.ndarray
@@ -61,12 +65,18 @@ class AnchorModel:
     _landmark_sqnorm: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
+        land = self.landmark_embeddings
         if not (1 <= self.s_nn <= self.k):
             raise ValueError(f"need 1 <= s_nn <= K, got s_nn={self.s_nn} K={self.k}")
-        if self.kernel_bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        for name, value in (("bandwidth", self.kernel_bandwidth), ("sigma", self.sigma)):
+            if not 0 < value < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not np.isfinite(self.anchors).all():
+            raise ValueError("non-finite value in the anchors")
+        if not ((land.indices >= 0) & (land.indices < self.k)).all():
+            raise ValueError(f"landmark anchor ids must lie in [0, {self.k})")
+        if not ((land.values >= 0) & (land.values < np.inf)).all():
+            raise ValueError("landmark values must be finite and nonnegative")
         if self._landmark_sqnorm is None:
             self._landmark_sqnorm = (self.landmark_embeddings.values ** 2).sum(axis=1)
 
@@ -79,8 +89,9 @@ class AnchorModel:
         return self.anchors.shape[1]
 
 
-def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator, iters: int = 25) -> np.ndarray:
-    """Lloyd's algorithm with k-means++ seeding; returns the k centers.
+def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Lloyd's algorithm with k-means++ seeding and at most KMEANS_ITERS
+    updates; returns the k centers.
 
     Seeding keeps d2, each point's direct-sum squared distance to its nearest
     center so far, and scores a new center c exactly only on the points whose
@@ -105,7 +116,7 @@ def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator, iters: int = 25)
         near = np.flatnonzero(screen[:, 0] - delta <= d2)
         d2[near] = np.minimum(d2[near], ((data[near] - center) ** 2).sum(axis=1))
     assign = None
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         new_assign = nearest_anchors(data, centers, 1)[0][:, 0]
         if assign is not None and np.array_equal(new_assign, assign):
             break
@@ -230,9 +241,9 @@ def build_anchors(
     data[rows] once, as it uses every row.
 
     method "random" samples rows without replacement; "kmeans" runs Lloyd's
-    with k-means++ seeding for at most 25 iterations. The kernel bandwidth is
-    the mean distance from a sampled subset of points to their s_nn-th nearest
-    anchor; sigma is the largest embedding-space distance over a 1000-pair
+    with k-means++ seeding for at most KMEANS_ITERS iterations. The kernel
+    bandwidth is the mean distance from a sampled subset of points to their
+    s_nn-th nearest anchor; sigma is the largest embedding-space distance over a 1000-pair
     sample, clamped to at least 1e-6. Pass hash_model to attach anchor codes.
     """
     data = np.asarray(data, dtype=np.float64)
@@ -304,14 +315,18 @@ def query_neighbor_profile(model: AnchorModel, z_q: SparseRow, n_landmarks: int 
     """Top-L landmarks by similarity with weights renormalized to sum to 1.
 
     Ties on similarity break toward the lower anchor id. Returns the pair
-    (landmark ids, weights) as aligned arrays.
+    (landmark ids, weights) as aligned arrays. Top-L similarities that are
+    all 0 (each exp(-d2 / sigma^2) underflows) or not finite are a ValueError.
     """
     if n_landmarks > model.k:
         raise ValueError(f"L={n_landmarks} exceeds K={model.k}")
     sims = landmark_similarities(model, z_q)
     top = topk(-sims, n_landmarks)
-    weights = sims[top] / sims[top].sum()
-    return top.astype(np.int64), weights
+    total = sims[top].sum()
+    if not 0 < total < np.inf:
+        raise ValueError(f"the query's top-{n_landmarks} landmark similarities sum to {total} "
+                         f"(sigma {model.sigma!r})")
+    return top.astype(np.int64), sims[top] / total
 
 
 def save_anchor_model(path: Union[str, Path], model: AnchorModel) -> None:
@@ -337,5 +352,5 @@ def load_anchor_model(path: Union[str, Path]) -> AnchorModel:
     (bits,) = rd.header("<I")
     codes = read_codes(rd, k, bits)
     emb = SparseEmbedding(indices=rd.array("<i4", k, s_nn), values=rd.array("<f8", k, s_nn))
-    return rd.done(AnchorModel(anchors=anchors, kernel_bandwidth=bandwidth, s_nn=s_nn,
-                               sigma=sigma, landmark_embeddings=emb, anchor_codes=codes))
+    return rd.done(rd.make(AnchorModel, anchors=anchors, kernel_bandwidth=bandwidth, s_nn=s_nn,
+                           sigma=sigma, landmark_embeddings=emb, anchor_codes=codes))

@@ -46,6 +46,13 @@ class BinaryReader:
         start = self._advance(count * np.dtype(dtype).itemsize)
         return np.frombuffer(self.raw, dtype=dtype, count=count, offset=start).reshape(shape).copy()
 
+    def make(self, cls, **fields):
+        """cls(**fields), whose own checks' ValueError is raised naming the file."""
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ValueError(f"{self.path}: {exc}") from None
+
     def done(self, value):
         """Return value if the whole file has been read."""
         if self.off != len(self.raw):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -36,6 +37,15 @@ DEFAULT_QUERY_K = 10
 
 class CliError(Exception):
     """Expected failure: message to stderr, exit code 1."""
+
+
+@contextmanager
+def _as_cli_error(prefix: str, errors=ValueError):
+    """An `errors` exception in the block is a CliError "<prefix>: <message>"."""
+    try:
+        yield
+    except errors as exc:
+        raise CliError(f"{prefix}: {exc}") from None
 
 
 @dataclass
@@ -137,10 +147,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     """defaults < JSON file < command-line flags."""
     raw = {}
     if path:
-        try:
+        with _as_cli_error(f"config {path}", (OSError, json.JSONDecodeError)):
             raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"config {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise CliError(f"config {path}: expected a JSON object")
         if "lambda" in raw:
@@ -151,8 +159,44 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return _config(raw, overrides)
 
 
-def _overrides(args, keys) -> dict:
-    return {k: getattr(args, k, None) for k in keys}
+RANKING_KEYS = ("gamma", "landmarks", "top_candidates", "alpha", "restart_mass")
+# the RunConfig keys each command takes as flags
+COMMAND_KEYS = {
+    "synth": ("seed", "synth_clusters", "synth_per_cluster", "synth_views", "synth_dim",
+              "synth_noise", "output"),
+    "build": ("labels", "bits", "family", "anchors", "anchor_method", "s_nn", "lam",
+              "itq_iters", "seed", "n_train", "n_query", "output"),
+    "query": RANKING_KEYS,
+    "eval": ("labels", "runs", "queries_per_run") + RANKING_KEYS,
+}
+# add_argument keywords of a config flag besides its name, dest and type
+_FLAG_EXTRAS = {"bits": {"help": f"code length (presets {BITS_PRESETS})"},
+                "family": {"choices": FAMILIES},
+                "anchor_method": {"choices": ("random", "kmeans")}}
+
+
+def _add_config_flags(p, command: str) -> None:
+    """One flag per COMMAND_KEYS[command] key: --key-with-dashes (lam is
+    --lambda), of its RunConfig field's type (str fields take no type)."""
+    types = {f.name: {"int": int, "float": float}.get(f.type) for f in fields(RunConfig)}
+    for key in COMMAND_KEYS[command]:
+        flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+        p.add_argument(flag, dest=key, type=types[key], **_FLAG_EXTRAS.get(key, {}))
+
+
+def _overrides(args) -> dict:
+    """The command's config flags, None where not given."""
+    return {k: getattr(args, k) for k in COMMAND_KEYS[args.command]}
+
+
+def _output_dir(given: str | None, flag: str, cfg: RunConfig, sub: str) -> tuple[Path, str]:
+    """The output directory, made if missing: `given`, the value of flag, else
+    <output>/<sub>. Also returns how errors name it: by flag, or by output."""
+    path = Path(given or (Path(cfg.output) / sub))
+    where = f"{flag if given else 'output'} {path}"
+    with _as_cli_error(where, OSError):
+        path.mkdir(parents=True, exist_ok=True)
+    return path, where
 
 
 def _log(msg: str) -> None:
@@ -162,30 +206,20 @@ def _log(msg: str) -> None:
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config, _overrides(args, [
-        "output", "seed", "synth_clusters", "synth_per_cluster", "synth_views",
-        "synth_dim", "synth_noise",
-    ]))
-    out_dir = Path(args.out or (Path(cfg.output) / "data"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg = load_config(args.config, _overrides(args))
+    out_dir, where = _output_dir(args.out, "--out", cfg, "data")
     view_paths = []
-    try:  # a large enough noise overflows float64, or the files' float32
-        ds = gen_synthetic(
-            n_clusters=cfg.synth_clusters,
-            per_cluster=cfg.synth_per_cluster,
-            n_views=cfg.synth_views,
-            dim=cfg.synth_dim,
-            noise=cfg.synth_noise,
-            seed=cfg.seed,
-        )
+    # a large enough noise overflows float64, or the files' float32
+    with _as_cli_error(where, OSError), _as_cli_error("synth failed"):
+        ds = gen_synthetic(n_clusters=cfg.synth_clusters, per_cluster=cfg.synth_per_cluster,
+                           n_views=cfg.synth_views, dim=cfg.synth_dim, noise=cfg.synth_noise,
+                           seed=cfg.seed)
         for m, view in enumerate(ds.views):
             path = out_dir / f"view{m}.mvh"
             save_vectors(path, view.data)
             view_paths.append(str(path))
-    except ValueError as exc:
-        raise CliError(f"synth failed: {exc}") from None
-    labels_path = out_dir / "labels.txt"
-    save_labels(labels_path, ds.labels)
+        labels_path = out_dir / "labels.txt"
+        save_labels(labels_path, ds.labels)
     _log(f"synth: wrote {ds.n} items, {ds.n_views} views to {out_dir}")
     print(json.dumps({"views": view_paths, "labels": str(labels_path)}, indent=2))
     return 0
@@ -197,10 +231,8 @@ def _read_views(paths, label: str) -> list[np.ndarray]:
     """Read one vector file per view; `label` names the files in errors."""
     mats = []
     for m, path in enumerate(paths):
-        try:
+        with _as_cli_error(f"{label} {m} ({path})", (OSError, ValueError)):
             mats.append(load_vectors(path))
-        except (OSError, ValueError) as exc:
-            raise CliError(f"{label} {m} ({path}): {exc}") from None
     return mats
 
 
@@ -211,10 +243,8 @@ def _load_dataset(cfg: RunConfig) -> MultiViewDataset:
              for m, data in enumerate(_read_views(cfg.views, "view"))]
     labels = None
     if cfg.labels:
-        try:
+        with _as_cli_error(f"labels ({cfg.labels})", (OSError, ValueError)):
             labels = load_labels(cfg.labels)
-        except (OSError, ValueError) as exc:
-            raise CliError(f"labels ({cfg.labels}): {exc}") from None
     try:
         return MultiViewDataset(views=views, labels=labels)
     except ValueError as exc:
@@ -222,31 +252,24 @@ def _load_dataset(cfg: RunConfig) -> MultiViewDataset:
 
 
 def cmd_build(args) -> int:
-    over = _overrides(args, [
-        "labels", "output", "bits", "family", "anchors", "anchor_method", "s_nn",
-        "lam", "itq_iters", "seed", "n_train", "n_query",
-    ])
-    if args.view:
-        over["views"] = args.view
-    cfg = load_config(args.config, over)
+    cfg = load_config(args.config, {**_overrides(args), "views": args.view})
     ds = _load_dataset(cfg)
     if cfg.n_train + cfg.n_query > ds.n:
         raise CliError(f"n_train + n_query = {cfg.n_train + cfg.n_query} exceeds n = {ds.n}")
     split = make_split(ds.n, cfg.n_train, cfg.n_query, cfg.seed)
-    bundle_dir = Path(args.out or (Path(cfg.output) / "index"))
     for m in range(ds.n_views):
         _log(f"build: view {m}: training {cfg.family} ({cfg.bits} bits), "
              f"{cfg.anchors} anchors over {len(split.database)} items")
-    try:
+    with _as_cli_error("build failed"):
         index = build_index(
             ds, split,
             bits=cfg.bits, family=cfg.family, anchors=cfg.anchors,
             anchor_method=cfg.anchor_method, s_nn=cfg.s_nn, lam=cfg.lam,
             itq_iters=cfg.itq_iters, seed=cfg.seed, params=asdict(cfg),
         )
-    except ValueError as exc:
-        raise CliError(f"build failed: {exc}") from None
-    manifest = save_bundle(index, bundle_dir)
+    bundle_dir, where = _output_dir(args.out, "--out", cfg, "index")
+    with _as_cli_error(where, OSError):
+        manifest = save_bundle(index, bundle_dir)
     _log(f"build: bundle at {bundle_dir}")
     print(str(manifest))
     return 0
@@ -254,18 +277,13 @@ def cmd_build(args) -> int:
 
 # ---------------------------------------------------------------- query
 
-RANKING_KEYS = ("gamma", "landmarks", "top_candidates", "alpha", "restart_mass")
-
-
-def _open_bundle(args, overrides: dict):
-    """Load --bundle; its build parameters < the ranking flags < `overrides`."""
-    try:
+def _open_bundle(args, **extra):
+    """Load --bundle; its build parameters < the command's config flags < extra."""
+    with _as_cli_error(f"bundle {args.bundle}", (OSError, ValueError)):
         index = load_bundle(args.bundle)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"bundle {args.bundle}: {exc}") from None
     keys = asdict(RunConfig())
     built = {k: v for k, v in index.params.items() if k in keys}
-    return index, _config(built, {**_overrides(args, RANKING_KEYS), **overrides})
+    return index, _config(built, {**_overrides(args), **extra})
 
 
 def _check_views(index, mats, paths, views, label: str) -> None:
@@ -324,7 +342,7 @@ def _rank(index, views, vectors, modes, cfg: RunConfig, calibrate: bool, depth: 
 def cmd_query(args) -> int:
     if args.k < 1:
         raise CliError(f"-k must be >= 1, got {args.k}")
-    index, cfg = _open_bundle(args, {})
+    index, cfg = _open_bundle(args)
     if not args.queries:
         raise CliError("pass --queries at least once")
     mode = args.mode
@@ -339,8 +357,10 @@ def cmd_query(args) -> int:
     results = []
     stops = []  # (solver stat, 1.0 if that solve stopped at its cap)
     for qi in range(mats[0].shape[0]):
-        rows, solver = _rank(index, views, [mat[qi] for mat in mats], (mode,), cfg,
-                             not args.no_calibrate, args.k)
+        # a bundle that passes its checks can still be numerically degenerate
+        with _as_cli_error("ranking failed"):
+            rows, solver = _rank(index, views, [mat[qi] for mat in mats], (mode,), cfg,
+                                 not args.no_calibrate, args.k)
         stops += [(key, val) for stats in solver.values() for key, val in stats.items()
                   if key.endswith("nonconverged_frac")]
         ids, scores = rows[_row(mode, views[0])]
@@ -356,10 +376,8 @@ def cmd_query(args) -> int:
                  f"{cap}={getattr(cfg, cap)}")
     payload = json.dumps({"mode": mode, "k": args.k, "results": results}, indent=2)
     if args.out:
-        try:
+        with _as_cli_error(f"--out {args.out}", OSError):
             Path(args.out).write_text(payload + "\n")
-        except OSError as exc:
-            raise CliError(f"--out {args.out}: {exc}") from None
         _log(f"query: wrote {args.out}")
     else:
         print(payload)
@@ -368,11 +386,52 @@ def cmd_query(args) -> int:
 
 # ---------------------------------------------------------------- eval
 
+def _eval_runs(index, ds, cfg: RunConfig, gt, valid_queries, bases, modes, ks, depth):
+    """Per mode, metric -> each run's mean over the queries it draws, and the
+    PR curve averaged over every (run, query). Rankings are deterministic, so
+    each distinct query is ranked once and its metrics, solver stats and PR
+    curve are reused by every run that draws it; each run still adds them up
+    in draw order, so every sum is bit for bit that of ranking every draw."""
+    views = list(range(index.n_views))
+    subsample = cfg.queries_per_run and cfg.queries_per_run < len(valid_queries)
+    if not subsample:
+        _log(f"eval: every run draws all {len(valid_queries)} valid queries: each stddev is 0")
+    scored: dict[int, dict[str, tuple[dict, np.ndarray]]] = {}  # id -> mode -> (stats, PR)
+    per_run: dict[str, dict[str, list]] = {m: {} for m in modes}
+    pr_sums: dict[str, np.ndarray] = {}
+    n_drawn = 0
+    for run in range(cfg.runs):
+        rng = np.random.default_rng(cfg.seed + 7919 * (run + 1))
+        qids = (np.sort(rng.choice(valid_queries, size=cfg.queries_per_run, replace=False))
+                if subsample else valid_queries)
+        _log(f"eval: run {run + 1}/{cfg.runs}: {len(qids)} queries, modes {modes}")
+        acc: dict[str, dict[str, list]] = {m: {} for m in modes}
+        for q in map(int, qids):
+            if q not in scored:
+                with _as_cli_error("ranking failed"):
+                    ranked, solver = _rank(index, views, [v.data[q] for v in ds.views], bases,
+                                           cfg, True, depth)
+                scored[q] = {mode: ({**ranking_metrics(ranked[mode][0], gt[q], ks, depth),
+                                     **solver.get(mode, {})},
+                                    # ids holds at most depth items
+                                    np.asarray(pr_curve(ranked[mode][0], gt[q])).T)
+                             for mode in modes}
+            n_drawn += 1
+            for mode, (stats, pr) in scored[q].items():
+                for name, val in stats.items():
+                    acc[mode].setdefault(name, []).append(val)
+                if mode not in pr_sums:
+                    pr_sums[mode] = np.zeros(pr.shape)
+                width = min(pr_sums[mode].shape[1], pr.shape[1])
+                pr_sums[mode][:, :width] += pr[:, :width]
+        for mode in modes:
+            for name, vals in acc[mode].items():
+                per_run[mode].setdefault(name, []).append(float(np.mean(vals)))
+    return per_run, {mode: pr_sums[mode] / n_drawn for mode in modes}
+
+
 def cmd_eval(args) -> int:
-    index, cfg = _open_bundle(args, {
-        **_overrides(args, ("runs", "queries_per_run", "labels")),
-        "views": args.view, "eval_ks": args.ks,
-    })
+    index, cfg = _open_bundle(args, views=args.view, eval_ks=args.ks)
     ds = _load_dataset(cfg)
     views = list(range(index.n_views))
     _check_views(index, [v.data for v in ds.views], cfg.views, views, "view")
@@ -396,71 +455,30 @@ def cmd_eval(args) -> int:
     modes = list(dict.fromkeys(_row(b, v) for b in bases for v in views))
     ks = sorted(set(int(k) for k in cfg.eval_ks))
     depth = max(cfg.top_candidates, max(ks))
-    out_dir = Path(args.out_dir or (Path(cfg.output) / "eval"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    per_run: dict[str, dict[str, list]] = {m: {} for m in modes}
-    pr_sums: dict[str, np.ndarray] = {}
-    n_ranked = 0
-    for run in range(cfg.runs):
-        rng = np.random.default_rng(cfg.seed + 7919 * (run + 1))
-        if cfg.queries_per_run and cfg.queries_per_run < len(valid_queries):
-            qids = np.sort(rng.choice(valid_queries, size=cfg.queries_per_run, replace=False))
-        else:
-            qids = valid_queries
-        _log(f"eval: run {run + 1}/{cfg.runs}: {len(qids)} queries, modes {modes}")
-        acc: dict[str, dict[str, list]] = {m: {} for m in modes}
-        for q in qids:
-            q = int(q)
-            ranked, solver = _rank(index, views, [v.data[q] for v in ds.views], bases, cfg,
-                                   True, depth)
-            n_ranked += 1
-            for mode in modes:
-                ids = ranked[mode][0]
-                stats = solver.get(mode, {})
-                for name, val in {**ranking_metrics(ids, gt[q], ks, depth), **stats}.items():
-                    acc[mode].setdefault(name, []).append(val)
-                pr = np.asarray(pr_curve(ids, gt[q])).T  # ids holds at most depth items
-                if mode not in pr_sums:
-                    pr_sums[mode] = np.zeros(pr.shape)
-                width = min(pr_sums[mode].shape[1], pr.shape[1])
-                pr_sums[mode][:, :width] += pr[:, :width]
-        for mode in modes:
-            for name, vals in acc[mode].items():
-                per_run[mode].setdefault(name, []).append(float(np.mean(vals)))
-
+    # made before ranking, so that a directory that cannot be made fails first
+    out_dir, where = _output_dir(args.out_dir, "--out-dir", cfg, "eval")
+    per_run, pr_means = _eval_runs(index, ds, cfg, gt, valid_queries, bases, modes, ks, depth)
     summary = {mode: {name: {"mean": float(np.mean(vals)), "stddev": float(np.std(vals)),
                              "runs": vals}
                       for name, vals in per_run[mode].items()}
                for mode in modes}
-
-    csv_path = out_dir / "metrics.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("mode,metric,k,mean,stddev\n")
-        for mode in modes:
-            for name, stats in summary[mode].items():
-                if "@" not in name:
-                    continue  # a solver statistic: metrics.json only
-                metric, k = name.rsplit("@", 1)
-                fh.write(f"{mode},{metric},{k},{stats['mean']:.6f},{stats['stddev']:.6f}\n")
-
-    pr_path = out_dir / "pr_curves.csv"
-    with open(pr_path, "w") as fh:
-        fh.write("mode,recall,precision\n")
-        for mode in modes:
-            avg = pr_sums[mode] / n_ranked
-            for rec, prec in avg.T:
-                fh.write(f"{mode},{rec:.6f},{prec:.6f}\n")
-
-    json_path = out_dir / "metrics.json"
-    json_path.write_text(json.dumps({
-        "bundle": str(args.bundle),
-        "runs": cfg.runs,
-        "ks": ks,
-        "depth": depth,
-        "n_queries_excluded": n_empty,
-        "modes": summary,
-    }, indent=2, sort_keys=True) + "\n")
+    csv_path, pr_path, json_path = (out_dir / name for name in
+                                    ("metrics.csv", "pr_curves.csv", "metrics.json"))
+    with _as_cli_error(where, OSError):
+        csv_path.write_text("mode,metric,k,mean,stddev\n" + "".join(
+            f"{mode},{name.replace('@', ',')},{stats['mean']:.6f},{stats['stddev']:.6f}\n"
+            for mode in modes for name, stats in summary[mode].items()
+            if "@" in name))  # the solver statistics go to metrics.json only
+        pr_path.write_text("mode,recall,precision\n" + "".join(
+            f"{mode},{rec:.6f},{prec:.6f}\n" for mode in modes for rec, prec in pr_means[mode].T))
+        json_path.write_text(json.dumps({
+            "bundle": str(args.bundle),
+            "runs": cfg.runs,
+            "ks": ks,
+            "depth": depth,
+            "n_queries_excluded": n_empty,
+            "modes": summary,
+        }, indent=2, sort_keys=True) + "\n")
 
     _log(f"eval: wrote {csv_path}, {pr_path}, {json_path}")
     print(str(csv_path))
@@ -469,54 +487,24 @@ def cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_config_arg(p):
-    p.add_argument("--config", help="JSON config file with flat keys")
-
-
-def _add_ranking_args(p):
-    """The flags named by RANKING_KEYS."""
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--landmarks", type=int)
-    p.add_argument("--top-candidates", dest="top_candidates", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--restart-mass", dest="restart_mass", type=float)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvhash",
         description="multi-view binary hashing search: build, query, evaluate",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)  # synth's and build's first flag
+    config.add_argument("--config", help="JSON config file with flat keys")
 
-    p = sub.add_parser("synth", help="generate a synthetic multi-view dataset")
-    _add_config_arg(p)
+    p = sub.add_parser("synth", parents=[config], help="generate a synthetic multi-view dataset")
     p.add_argument("--out", help="output directory (default <output>/data)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--synth-clusters", dest="synth_clusters", type=int)
-    p.add_argument("--synth-per-cluster", dest="synth_per_cluster", type=int)
-    p.add_argument("--synth-views", dest="synth_views", type=int)
-    p.add_argument("--synth-dim", dest="synth_dim", type=int)
-    p.add_argument("--synth-noise", dest="synth_noise", type=float)
-    p.add_argument("--output")
+    _add_config_flags(p, "synth")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("build", help="build and serialize the index bundle")
-    _add_config_arg(p)
+    p = sub.add_parser("build", parents=[config], help="build and serialize the index bundle")
     p.add_argument("--view", action="append", help="vector file; repeat per view")
-    p.add_argument("--labels")
     p.add_argument("--out", help="bundle directory (default <output>/index)")
-    p.add_argument("--bits", type=int, help=f"code length (presets {BITS_PRESETS})")
-    p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--anchors", type=int)
-    p.add_argument("--anchor-method", dest="anchor_method", choices=("random", "kmeans"))
-    p.add_argument("--s-nn", dest="s_nn", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--itq-iters", dest="itq_iters", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-train", dest="n_train", type=int)
-    p.add_argument("--n-query", dest="n_query", type=int)
-    p.add_argument("--output")
+    _add_config_flags(p, "build")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("query", help="rank database items for query vectors")
@@ -526,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("hamming", "qrank", "qsrf"), default="qrank")
     p.add_argument("--view", type=int, default=0, help="view for hamming/qrank")
     p.add_argument("-k", type=int, default=DEFAULT_QUERY_K)
-    _add_ranking_args(p)
+    _add_config_flags(p, "query")
     p.add_argument("--no-calibrate", action="store_true")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_query)
@@ -534,12 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run the evaluation protocol over a bundle")
     p.add_argument("--bundle", required=True)
     p.add_argument("--view", action="append", help="vector file; repeat per view")
-    p.add_argument("--labels")
     p.add_argument("--modes", nargs="+", choices=("hamming", "qrank", "qsrf"))
-    p.add_argument("--runs", type=int)
-    p.add_argument("--queries-per-run", dest="queries_per_run", type=int)
     p.add_argument("--ks", nargs="+", type=int)
-    _add_ranking_args(p)
+    _add_config_flags(p, "eval")
     p.add_argument("--out-dir", dest="out_dir")
     p.set_defaults(func=cmd_eval)
 

@@ -82,12 +82,23 @@ class DatasetSplit:
 
     train may overlap database (training items stay searchable); queries are
     excluded from the database. All three arrays hold global item ids, sorted
-    ascending.
+    ascending; an array out of order or a query id in the database is a
+    ValueError.
     """
 
     train: np.ndarray
     query: np.ndarray
     database: np.ndarray
+
+    def __post_init__(self):
+        for name in ("train", "query", "database"):
+            if (np.diff(getattr(self, name)) <= 0).any():
+                raise ValueError(f"{name} ids must be strictly ascending")
+        db, query = self.database, self.query
+        if len(db):  # both sorted: a query id in db is where searchsorted puts it
+            hit = db[np.minimum(np.searchsorted(db, query), len(db) - 1)] == query
+            if hit.any():
+                raise ValueError(f"query id {query[hit.argmax()]} is also a database id")
 
 
 def save_vectors(path: Union[str, Path], data: np.ndarray) -> None:

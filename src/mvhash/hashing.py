@@ -258,11 +258,7 @@ def load_model(path: Union[str, Path]) -> HashModel:
         raise ValueError(f"{path}: unknown family tag {fam}")
     arrays = dict(mean=rd.array("<f8", dim), projection=rd.array("<f8", bits, dim),
                   rotation=rd.array("<f8", bits, bits))
-    try:
-        model = HashModel(family=FAMILIES[fam], **arrays)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return rd.done(model)
+    return rd.done(rd.make(HashModel, family=FAMILIES[fam], **arrays))
 
 
 def save_codes(path: Union[str, Path], codes: PackedCodes) -> None:

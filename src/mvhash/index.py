@@ -108,7 +108,7 @@ def save_split(path: Union[str, Path], split: DatasetSplit) -> None:
 def load_split(path: Union[str, Path]) -> DatasetSplit:
     rd = BinaryReader(path, MAGIC_SPLIT, "split")
     train, query, database = (rd.array("<u4", n).astype(np.int64) for n in rd.header("<III"))
-    return rd.done(DatasetSplit(train=train, query=query, database=database))
+    return rd.done(rd.make(DatasetSplit, train=train, query=query, database=database))
 
 
 def _sha256(path: Path) -> str:

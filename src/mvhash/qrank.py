@@ -36,10 +36,25 @@ _BYTE_BITS = unpack_bits(PackedCodes(np.arange(256, dtype=np.uint64)[:, None], 8
 
 @dataclass
 class IndependenceMatrix:
-    """Symmetric B x B matrix a_ij = exp(-lambda * MI(bit_i, bit_j)), zero diagonal."""
+    """Symmetric B x B matrix a_ij = exp(-lambda * MI(bit_i, bit_j)), zero diagonal.
+
+    A lambda that is not finite and positive, or an a that is not square and
+    symmetric with a zero diagonal and entries in [0, 1], is a ValueError.
+    """
 
     a: np.ndarray
     lam: float
+
+    def __post_init__(self):
+        a = self.a
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lambda must be finite and positive, got {self.lam!r}")
+        if not ((a >= 0) & (a <= 1)).all():  # NaN fails too
+            raise ValueError("independence entries must lie in [0, 1]")
+        if not (a.ndim == 2 and np.array_equal(a, a.T)):
+            raise ValueError("independence matrix must be square and symmetric")
+        if np.diagonal(a).any():
+            raise ValueError("independence matrix must have a zero diagonal")
 
 
 @dataclass
@@ -111,13 +126,19 @@ def _mi_terms(p: np.ndarray, pi_m: np.ndarray, pj_m: np.ndarray) -> np.ndarray:
     return p * np.log(p / (pi_m * pj_m))
 
 
-def _mi_from_counts(c11, c10, c01, c00, smoothing: float):
-    """MI in nats from smoothed 2x2 counts; grouping keeps i<->j exactly symmetric."""
-    t = c11 + c10 + c01 + c00 + 4.0 * smoothing
-    p11 = (c11 + smoothing) / t
-    p10 = (c10 + smoothing) / t
-    p01 = (c01 + smoothing) / t
-    p00 = (c00 + smoothing) / t
+def pairwise_mutual_information(bits01: np.ndarray) -> np.ndarray:
+    """All-pairs MI matrix (B x B, nats) from an (n, B) 0/1 bit matrix, with
+    MI_SMOOTHING added to every cell of each pair's 2x2 counts; grouping the
+    terms keeps i <-> j exactly symmetric."""
+    y = np.asarray(bits01, dtype=np.float64)
+    n = y.shape[0]
+    c11 = y.T @ y
+    ones = y.sum(axis=0)
+    c10 = ones[:, None] - c11
+    c01 = ones[None, :] - c11
+    c00 = n - c11 - c10 - c01
+    t = c11 + c10 + c01 + c00 + 4.0 * MI_SMOOTHING
+    p11, p10, p01, p00 = ((c + MI_SMOOTHING) / t for c in (c11, c10, c01, c00))
     pi1 = p11 + p10
     pi0 = p01 + p00
     pj1 = p11 + p01
@@ -129,24 +150,11 @@ def _mi_from_counts(c11, c10, c01, c00, smoothing: float):
     )
 
 
-def pairwise_mutual_information(bits01: np.ndarray, smoothing: float = MI_SMOOTHING) -> np.ndarray:
-    """All-pairs MI matrix (B x B, nats) from an (n, B) 0/1 bit matrix."""
-    y = np.asarray(bits01, dtype=np.float64)
-    n = y.shape[0]
-    c11 = y.T @ y
-    ones = y.sum(axis=0)
-    c10 = ones[:, None] - c11
-    c01 = ones[None, :] - c11
-    c00 = n - c11 - c10 - c01
-    return _mi_from_counts(c11, c10, c01, c00, smoothing)
-
-
-def independence_matrix(codes: PackedCodes, lam: float = 1.0, smoothing: float = MI_SMOOTHING) -> IndependenceMatrix:
-    """exp(-lambda * MI) off the diagonal, 0 on it; computed once per table offline."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    mi = pairwise_mutual_information(unpack_bits(codes), smoothing)
-    a = np.exp(-lam * mi)
+def independence_matrix(codes: PackedCodes, lam: float = 1.0) -> IndependenceMatrix:
+    """exp(-lambda * MI) off the diagonal, 0 on it; computed once per table
+    offline. MI >= 0, but it can round below 0 for nearly independent bits,
+    so entries are capped at 1."""
+    a = np.minimum(np.exp(-lam * pairwise_mutual_information(unpack_bits(codes))), 1.0)
     np.fill_diagonal(a, 0.0)
     return IndependenceMatrix(a=a, lam=lam)
 
@@ -436,4 +444,4 @@ def save_independence(path: Union[str, Path], indep: IndependenceMatrix) -> None
 def load_independence(path: Union[str, Path]) -> IndependenceMatrix:
     rd = BinaryReader(path, MAGIC_INDEP, "independence")
     b, lam = rd.header("<Id")
-    return rd.done(IndependenceMatrix(a=rd.array("<f8", b, b), lam=lam))
+    return rd.done(rd.make(IndependenceMatrix, a=rd.array("<f8", b, b), lam=lam))

@@ -1,18 +1,26 @@
 """End-to-end tests for the command-line front end."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import math
+import shutil
 import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mvhash.qrank as qrank_module
-from mvhash import load_vectors, save_vectors
-from mvhash.cli import main
+from mvhash import ground_truth, load_bundle, load_vectors, save_vectors
+from mvhash.cli import _overrides, build_parser, load_config, main
 from mvhash.hashing import PackedCodes, load_codes, save_codes
 from mvhash.qrank import IndependenceMatrix, save_independence
 
@@ -34,19 +42,21 @@ def _synth(capsys, out_dir, views=2, seed=3):
     return json.loads(out)
 
 
-def _build(capsys, data, bundle_dir, seed=3, extra=(), labels=True):
+def _build_argv(data, bundle_dir, seed=3, labels=True):
     argv = ["build"]
     for path in data["views"]:
         argv += ["--view", path]
     if labels:
         argv += ["--labels", data["labels"]]
-    argv += [
+    return argv + [
         "--out", str(bundle_dir),
         "--bits", "16", "--anchors", "25", "--s-nn", "3",
         "--n-train", "40", "--n-query", "10", "--seed", str(seed),
     ]
-    argv += list(extra)
-    code, out, _ = _run(capsys, argv)
+
+
+def _build(capsys, data, bundle_dir, seed=3, extra=(), labels=True):
+    code, out, _ = _run(capsys, _build_argv(data, bundle_dir, seed, labels) + list(extra))
     assert code == 0
     return out.strip()
 
@@ -227,6 +237,27 @@ def test_query_out_that_cannot_be_written_is_an_error(capsys, tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+def test_output_directory_that_cannot_be_made_is_an_error(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle")
+    afile = tmp_path / "afile"  # a regular file: nothing can be made under it
+    afile.write_text("")
+    eval_args = ["eval", "--bundle", str(tmp_path / "bundle"), "--view", data["views"][0],
+                 "--view", data["views"][1], "--labels", data["labels"], "--runs", "1"]
+    for argv, flag, dest in (
+        (["synth", "--out", str(afile / "x")], "--out", afile / "x"),
+        (_build_argv(data, afile / "idx"), "--out", afile / "idx"),
+        (eval_args + ["--out-dir", str(afile / "sub")], "--out-dir", afile / "sub"),
+        (eval_args + ["--out-dir", str(afile)], "--out-dir", afile),
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1].startswith(f"mvhash: error: {flag} {dest}:")
+        assert "Traceback" not in err
+    assert afile.read_text() == ""
+
+
 # --------------------------------------------------------------------- eval
 
 
@@ -310,22 +341,55 @@ def test_eval_of_a_bundle_without_query_ids_is_an_error(capsys, tmp_path):
     assert "no query ids" in err
 
 
+def _valid_queries(bundle, labels_path):
+    split = load_bundle(bundle).split
+    gt = ground_truth([int(x) for x in open(labels_path).read().split()], split)
+    return np.asarray([q for q in split.query if len(gt[int(q)])])
+
+
 def test_eval_ranks_each_view_once_per_query(capsys, tmp_path):
     data = _synth(capsys, tmp_path / "data")
-    _build(capsys, data, tmp_path / "bundle")
+    _build(capsys, data, tmp_path / "bundle")  # seed 3, 10 query ids
+    valid = _valid_queries(tmp_path / "bundle", data["labels"])
+    # eval's draws: 3 runs of 5 of the valid ids, from seed + 7919 (run + 1)
+    drawn = {int(q) for run in range(3)
+             for q in np.random.default_rng(3 + 7919 * (run + 1)).choice(valid, 5, replace=False)}
+    assert len(drawn) < 15  # the runs overlap
     with mock.patch("mvhash.qrank.calibrate", wraps=qrank_module.calibrate) as spy:
-        code, _, _ = _run(capsys, [
+        code, _, err = _run(capsys, [
             "eval", "--bundle", str(tmp_path / "bundle"),
             "--view", data["views"][0], "--view", data["views"][1],
-            "--labels", data["labels"], "--runs", "1", "--queries-per-run", "5",
+            "--labels", data["labels"], "--runs", "3", "--queries-per-run", "5",
             "--top-candidates", "30", "--out-dir", str(tmp_path / "eval"),
         ])
     assert code == 0
-    # 5 queries x 2 views: the qsrf row reuses the qrank rows' calibrated weights
-    assert spy.call_count == 10
+    # one calibration per distinct drawn id and view: the qsrf row reuses the
+    # qrank rows' calibrated weights, and later runs reuse earlier rankings
+    assert spy.call_count == 2 * len(drawn)
+    assert "every run draws" not in err
     modes = {line.split(",")[0] for line in (tmp_path / "eval" / "metrics.csv").read_text()
              .splitlines()[1:]}
     assert modes == {"hamming:view0", "hamming:view1", "qrank:view0", "qrank:view1", "qsrf"}
+
+
+def test_eval_says_when_every_run_draws_every_query(capsys, tmp_path):
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle")
+    n_valid = len(_valid_queries(tmp_path / "bundle", data["labels"]))
+    for per_run in ("0", str(n_valid)):
+        with mock.patch("mvhash.qrank.calibrate", wraps=qrank_module.calibrate) as spy:
+            code, _, err = _run(capsys, [
+                "eval", "--bundle", str(tmp_path / "bundle"),
+                "--view", data["views"][0], "--view", data["views"][1],
+                "--labels", data["labels"], "--runs", "3", "--queries-per-run", per_run,
+                "--modes", "qrank", "--out-dir", str(tmp_path / "eval"),
+            ])
+        assert code == 0
+        assert spy.call_count == 2 * n_valid
+        assert (f"eval: every run draws all {n_valid} valid queries: each stddev is 0"
+                in err.splitlines())
+        for line in (tmp_path / "eval" / "metrics.csv").read_text().splitlines()[1:]:
+            assert line.endswith(",0.000000")
 
 
 def test_eval_reports_solver_nonconvergence_rates(capsys, tmp_path):
@@ -410,6 +474,76 @@ def test_eval_single_view_omits_qsrf(capsys, tmp_path):
 
 
 # ------------------------------------------------------------------- config
+
+
+# Every subcommand's options: flags>dest, then what differs from a plain
+# string option (action, type, nargs, choices, default, required).
+PARSER_SURFACE = {
+    "synth": [
+        "--config>config", "--out>out", "--output>output", "--seed>seed int",
+        "--synth-clusters>synth_clusters int", "--synth-dim>synth_dim int",
+        "--synth-noise>synth_noise float", "--synth-per-cluster>synth_per_cluster int",
+        "--synth-views>synth_views int",
+    ],
+    "build": [
+        "--anchor-method>anchor_method {random,kmeans}", "--anchors>anchors int",
+        "--bits>bits int", "--config>config", "--family>family {lsh,pcah,itq}",
+        "--itq-iters>itq_iters int", "--labels>labels", "--lambda>lam float",
+        "--n-query>n_query int", "--n-train>n_train int", "--out>out", "--output>output",
+        "--s-nn>s_nn int", "--seed>seed int", "--view>view _AppendAction",
+    ],
+    "query": [
+        "--alpha>alpha float", "--bundle>bundle required", "--gamma>gamma float",
+        "--landmarks>landmarks int", "--mode>mode {hamming,qrank,qsrf} ='qrank'",
+        "--no-calibrate>no_calibrate _StoreTrueAction nargs=0 =False", "--out>out",
+        "--queries>queries _AppendAction", "--restart-mass>restart_mass float",
+        "--top-candidates>top_candidates int", "--view>view int =0", "-k>k int =10",
+    ],
+    "eval": [
+        "--alpha>alpha float", "--bundle>bundle required", "--gamma>gamma float",
+        "--ks>ks int nargs=+", "--labels>labels", "--landmarks>landmarks int",
+        "--modes>modes nargs=+ {hamming,qrank,qsrf}", "--out-dir>out_dir",
+        "--queries-per-run>queries_per_run int", "--restart-mass>restart_mass float",
+        "--runs>runs int", "--top-candidates>top_candidates int", "--view>view _AppendAction",
+    ],
+}
+
+
+def _describe(action) -> str:
+    """An option as PARSER_SURFACE spells it; a type of str counts as none,
+    since argparse parses both alike."""
+    words = [f"{'/'.join(action.option_strings)}>{action.dest}"]
+    if type(action) is not argparse._StoreAction:
+        words.append(type(action).__name__)
+    if action.type not in (None, str):
+        words.append(action.type.__name__)
+    if action.nargs is not None:
+        words.append(f"nargs={action.nargs}")
+    if action.choices is not None:
+        words.append("{" + ",".join(action.choices) + "}")
+    if action.default is not None:
+        words.append(f"={action.default!r}")
+    if action.required:
+        words.append("required")
+    return " ".join(words)
+
+
+def test_parser_surface_is_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(PARSER_SURFACE)
+    for name, parser in sub.choices.items():
+        got = sorted(_describe(a) for a in parser._actions
+                     if not isinstance(a, argparse._HelpAction))
+        assert got == PARSER_SURFACE[name], name
+
+
+def test_config_flags_land_in_the_config_typed():
+    for argv, key, want in ((["build", "--lambda", "2"], "lam", 2.0),
+                            (["query", "--bundle", "b", "--top-candidates", "7"],
+                             "top_candidates", 7),
+                            (["synth", "--synth-noise", "0.5"], "synth_noise", 0.5)):
+        value = getattr(load_config(None, _overrides(build_parser().parse_args(argv))), key)
+        assert (value, type(value)) == (want, type(want))
 
 
 def test_config_file_flag_precedence(capsys, tmp_path):
@@ -596,6 +730,16 @@ def test_cut_or_padded_bundle_file_is_an_error(capsys, tmp_path):
         (bundle / name).write_bytes(blob)
 
 
+def _patch(bundle, manifest: dict, name: str, at: int, value: bytes) -> None:
+    """Overwrite bundle/name from byte `at` with value, and give the manifest
+    its new hash: a file that only the reader's own checks can catch."""
+    bad = bytearray((bundle / name).read_bytes())
+    bad[at:at + len(value) or None] = value
+    (bundle / name).write_bytes(bytes(bad))
+    files = {**manifest["files"], name: hashlib.sha256(bad).hexdigest()}
+    (bundle / "manifest.json").write_text(json.dumps({**manifest, "files": files}))
+
+
 def test_bundle_with_bad_code_or_model_values_is_an_error(capsys, tmp_path):
     # Files whose hashes match their bytes and whose lengths are right: only
     # the value checks can catch them. Default lsh, 16 bits: the last byte of
@@ -612,14 +756,112 @@ def test_bundle_with_bad_code_or_model_values_is_an_error(capsys, tmp_path):
             ("view0.model.bin", -8, struct.pack("<d", float("nan")),
              "non-finite value in the rotation")):
         blob = (bundle / name).read_bytes()
-        bad = bytearray(blob)
-        bad[at:at + len(value) or None] = value
-        (bundle / name).write_bytes(bytes(bad))
-        files = {**manifest["files"], name: hashlib.sha256(bad).hexdigest()}
-        (bundle / "manifest.json").write_text(json.dumps({**manifest, "files": files}))
+        _patch(bundle, manifest, name, at, value)
         err = _query_bundle(capsys, bundle, qfile)
         assert f"{bundle / name}: {message}" in err
         (bundle / name).write_bytes(blob)
+
+
+def test_bundle_with_bad_anchor_independence_or_split_values_is_an_error(capsys, tmp_path):
+    # 25 anchors, s_nn 3: the landmark ids (int32) and values (float64) end
+    # the anchors file. a[0, 1] follows a 20-byte header and a[0, 0]; the
+    # query ids follow the split's 20-byte header and its 40 train ids.
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle")
+    qfiles = _query_files(data, tmp_path)
+    bundle = tmp_path / "bundle"
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    split = load_bundle(bundle).split
+    db_id = int(split.database[split.database < split.query[1]].max())  # query ids stay sorted
+    landmark_ids = -(4 + 8) * 25 * 3
+    for name, at, value, message in (
+            ("view0.anchors.bin", landmark_ids, struct.pack("<i", 25),
+             "landmark anchor ids must lie in [0, 25)"),
+            ("view0.anchors.bin", landmark_ids, struct.pack("<i", -1),
+             "landmark anchor ids must lie in [0, 25)"),
+            ("view0.indep.bin", 28, struct.pack("<d", float("nan")),
+             "independence entries must lie in [0, 1]"),
+            ("view0.indep.bin", 28, struct.pack("<d", -5.0),
+             "independence entries must lie in [0, 1]"),
+            ("split.bin", 20 + 4 * 40, struct.pack("<I", db_id),
+             f"query id {db_id} is also a database id")):
+        blob = (bundle / name).read_bytes()
+        _patch(bundle, manifest, name, at, value)
+        code, out, err = _run(capsys, ["query", "--bundle", str(bundle), "--mode", "qsrf",
+                                       "--queries", qfiles[0], "--queries", qfiles[1]])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"mvhash: error: bundle {bundle}: {bundle / name}: {message}")
+        assert "Traceback" not in err
+        (bundle / name).write_bytes(blob)
+
+
+def _quiet(argv):
+    """main(argv) with stdout and stderr captured: (exit code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundle(tmp_path_factory):
+    """A small two-view bundle, built once: (data, query files, bundle dir)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    code, out, _ = _quiet(["synth", "--out", str(root / "data"), "--seed", "3",
+                           "--synth-clusters", "3", "--synth-per-cluster", "30",
+                           "--synth-dim", "8", "--synth-noise", "0.5"])
+    data = json.loads(out)
+    assert code == 0 and _quiet(_build_argv(data, root / "bundle"))[0] == 0
+    queries = []
+    for m, path in enumerate(data["views"]):
+        queries.append(str(root / f"queries{m}.mvh"))
+        save_vectors(queries[-1], load_vectors(path)[:3])
+    return data, queries, root / "bundle"
+
+
+def _check_run(code: int, out: str, err: str, mode: str | None, out_dir: Path) -> None:
+    """Exit 0 with well-formed output (query JSON for a mode, else eval's
+    metrics.csv), or exit 1 with an mvhash error."""
+    if code == 1:
+        assert out == "" and err.splitlines()[-1].startswith("mvhash: error:")
+        return
+    assert code == 0
+    if mode is None:
+        lines = (out_dir / "metrics.csv").read_text().splitlines()
+        assert lines[0] == "mode,metric,k,mean,stddev" and len(lines) > 1
+        for line in lines[1:]:
+            assert 0.0 <= float(line.split(",")[3]) <= 1.0
+        return
+    payload = json.loads(out)
+    assert (payload["mode"], payload["k"], len(payload["results"])) == (mode, 5, 3)
+    for row in payload["results"]:
+        assert 1 <= len(row) <= 5
+        assert all(isinstance(r["id"], int) and math.isfinite(r["score"]) for r in row)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_bundle_with_overwritten_bytes_fails_cleanly_or_runs(fuzz_bundle, data):
+    dataset, queries, bundle = fuzz_bundle
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    name = data.draw(st.sampled_from(sorted(manifest["files"])), label="file")
+    size = (bundle / name).stat().st_size
+    at = data.draw(st.integers(0, size - 1), label="at")
+    value = data.draw(st.binary(min_size=1, max_size=min(8, size - at)), label="bytes")
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "bundle"
+        shutil.copytree(bundle, copy)
+        _patch(copy, manifest, name, at, value)
+        for mode in ("hamming", "qrank", "qsrf"):
+            files = queries if mode == "qsrf" else queries[:1]
+            argv = ["query", "--bundle", str(copy), "--mode", mode, "-k", "5"]
+            _check_run(*_quiet(argv + [arg for f in files for arg in ("--queries", f)]), mode,
+                       None)
+        out_dir = Path(tmp) / "eval"
+        _check_run(*_quiet(["eval", "--bundle", str(copy), "--view", dataset["views"][0],
+                            "--view", dataset["views"][1], "--labels", dataset["labels"],
+                            "--runs", "2", "--queries-per-run", "5", "--top-candidates", "30",
+                            "--out-dir", str(out_dir)]), None, out_dir)
 
 
 def test_bundle_files_must_agree_with_each_other(capsys, tmp_path):

@@ -135,6 +135,18 @@ def _split_of(query, database, train=()):
     )
 
 
+def test_split_must_be_ascending_with_queries_outside_the_database():
+    for kwargs, message in (
+            (dict(query=[3, 1], database=[0, 2]), "query ids must be strictly ascending"),
+            (dict(query=[1], database=[0, 0, 2]), "database ids must be strictly ascending"),
+            (dict(query=[1], database=[0, 2], train=[2, 0]), "train ids must be strictly ascending"),
+            (dict(query=[1, 4], database=[0, 2, 4]), "query id 4 is also a database id")):
+        with pytest.raises(ValueError, match=message):
+            _split_of(**kwargs)
+    _split_of(query=[5, 7], database=[])  # no database to collide with
+    _split_of(query=[], database=[0, 2], train=[0, 2])  # train may overlap it
+
+
 def test_ground_truth_single_label():
     gt = ground_truth([0, 0, 1], _split_of(query=[0], database=[1, 2]))
     np.testing.assert_array_equal(gt[0], [1])

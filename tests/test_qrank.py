@@ -16,9 +16,10 @@ from mvhash.fusion import QsrfParams, qsrf_search
 from mvhash.hashing import HashModel, encode_one, hamming_scan, pack_bits, train, unpack_bits
 from mvhash.index import build_index
 from mvhash.metrics import brute_force_rank
-from mvhash.qrank import (WEIGHT_FLOOR, HashTable, QueryParams, calibrate, dyadic_weights,
-                          hamming_query, independence_matrix, pairwise_mutual_information,
-                          qrank_query, raw_weights, weighted_hamming_scan, weighted_topk)
+from mvhash.qrank import (WEIGHT_FLOOR, HashTable, IndependenceMatrix, QueryParams, calibrate,
+                          dyadic_weights, hamming_query, independence_matrix,
+                          pairwise_mutual_information, qrank_query, raw_weights,
+                          weighted_hamming_scan, weighted_topk)
 from references import calibrate_per_step, embed_many, mutual_information
 
 
@@ -128,6 +129,30 @@ def test_independence_matrix_rejects_bad_lambda():
     bits = np.zeros((10, 4), dtype=np.uint8)
     with pytest.raises(ValueError):
         independence_matrix(pack_bits(bits), lam=0.0)
+
+
+def test_independence_matrix_checks_its_values():
+    a = np.array([[0.0, 0.5], [0.5, 0.0]])
+    for bad_a, lam, message in (
+            (a, float("nan"), "lambda must be finite and positive"),
+            (a, float("inf"), "lambda must be finite and positive"),
+            (np.where(a > 0, np.nan, 0.0), 1.0, r"entries must lie in \[0, 1\]"),
+            (np.where(a > 0, -5.0, 0.0), 1.0, r"entries must lie in \[0, 1\]"),
+            (np.array([[0.0, 0.5], [0.25, 0.0]]), 1.0, "square and symmetric"),
+            (np.zeros((2, 3)), 1.0, "square and symmetric"),
+            (a + np.eye(2) / 4, 1.0, "zero diagonal")):
+        with pytest.raises(ValueError, match=message):
+            IndependenceMatrix(a=bad_a, lam=lam)
+
+
+def test_independence_matrix_caps_entries_at_one():
+    # these 26 codes have a pair of bits whose MI rounds to -3.7e-17, so
+    # exp(-100 MI) rounds to 1 + 4e-15
+    rng = np.random.default_rng(702)
+    n = int(rng.integers(2, 200))
+    bits = (rng.random((n, 6)) < rng.uniform(0, 1, 6)).astype(np.uint8)
+    assert pairwise_mutual_information(bits).min() < 0
+    assert independence_matrix(pack_bits(bits), lam=100.0).a.max() == 1.0
 
 
 def _controlled_anchor_setup(agree_mask, n_anchors=6, dim=4, seed=0):
