@@ -8,7 +8,8 @@ keep the s_nn nearest anchors with Gaussian kernel weights normalized to sum 1.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Union
 
@@ -18,6 +19,7 @@ from .binfile import BinaryReader
 from .hashing import HashModel, PackedCodes, encode, read_codes, topk
 
 MAGIC_ANCHORS = b"MVHA"
+ANCHORS_VERSION = 2
 # entries per block of a points x anchors screen (nearest_anchors, and
 # fusion.candidate_embedding's candidates x kept anchors): a block (125 KiB)
 # stays below glibc's default 128 KiB mmap threshold, so it comes from the
@@ -47,38 +49,45 @@ class SparseEmbedding:
 class AnchorModel:
     """Per-view anchors with kernel bandwidth and fixed similarity scale sigma.
 
-    landmark_embeddings holds each anchor's own sparse embedding against the
-    anchor set, precomputed so query-to-landmark similarities are cheap online.
-    anchor_codes are the anchors' hash codes under the view's HashModel; they
-    are attached at index build time (None until then). Non-finite anchors,
-    a bandwidth or sigma that is not finite and positive, and landmark rows
-    with an anchor id outside [0, K) or a value that is not finite and
-    nonnegative are a ValueError.
+    landmark_embeddings, each anchor's own sparse embedding against the anchor
+    set, depends on the anchors alone: it is derived on first use (the first
+    query profile) and cached, never stored. anchor_codes are the anchors'
+    hash codes under the view's HashModel; they are attached at index build
+    time (None until then). An anchor value that is not finite or exceeds
+    sqrt(float64 max / (4 (dim + 2))) in magnitude, a bandwidth that is not
+    positive with 2 bw^2 a finite normal double, and a sigma that is not
+    positive with sigma^2 one are a ValueError.
     """
 
     anchors: np.ndarray
     kernel_bandwidth: float
     s_nn: int
     sigma: float
-    landmark_embeddings: SparseEmbedding
     anchor_codes: Optional[PackedCodes] = None
-    _landmark_sqnorm: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        land = self.landmark_embeddings
         if not (1 <= self.s_nn <= self.k):
             raise ValueError(f"need 1 <= s_nn <= K, got s_nn={self.s_nn} K={self.k}")
-        for name, value in (("bandwidth", self.kernel_bandwidth), ("sigma", self.sigma)):
-            if not 0 < value < np.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not np.isfinite(self.anchors).all():
-            raise ValueError("non-finite value in the anchors")
-        if not ((land.indices >= 0) & (land.indices < self.k)).all():
-            raise ValueError(f"landmark anchor ids must lie in [0, {self.k})")
-        if not ((land.values >= 0) & (land.values < np.inf)).all():
-            raise ValueError("landmark values must be finite and nonnegative")
-        if self._landmark_sqnorm is None:
-            self._landmark_sqnorm = (self.landmark_embeddings.values ** 2).sum(axis=1)
+        finfo = np.finfo(np.float64)
+        bw, sigma = self.kernel_bandwidth, self.sigma
+        # kernel_rows divides by 2 bw^2 and landmark_similarities by sigma^2
+        for name, value, square, what in (("bandwidth", bw, 2.0 * bw * bw, "2 bw^2"),
+                                          ("sigma", sigma, sigma * sigma, "sigma^2")):
+            if not (value > 0 and finfo.tiny <= square <= finfo.max):  # NaN fails too
+                raise ValueError(f"{name} must be positive with {what} a finite normal "
+                                 f"double, got {value!r}")
+        # nearest_anchors' screen, margin and direct sums stay finite under this bound
+        bound = np.sqrt(finfo.max / (4 * (self.dim + 2)))
+        if not (np.abs(self.anchors) <= bound).all():  # NaN fails too
+            raise ValueError(f"anchor values must be finite and at most {bound:.6g} in magnitude")
+
+    @cached_property
+    def landmark_embeddings(self) -> SparseEmbedding:
+        return _embed_matrix(self.anchors, self.anchors, self.s_nn, self.kernel_bandwidth)
+
+    @cached_property
+    def _landmark_sqnorm(self) -> np.ndarray:
+        return (self.landmark_embeddings.values ** 2).sum(axis=1)
 
     @property
     def k(self) -> int:
@@ -265,8 +274,6 @@ def build_anchors(
     kth = nearest_anchors(data[ids[sample_idx]], anchors, s_nn)[1][:, s_nn - 1]
     bandwidth = float(np.sqrt(kth).mean()) or 1e-9  # 0 when every sample sits on s_nn anchors
 
-    landmark_emb = _embed_matrix(anchors, anchors, s_nn, bandwidth)
-
     pair_idx = rng.integers(0, n, size=(1000, 2))
     pair_pts = np.unique(pair_idx)
     emb = _embed_matrix(data[ids[pair_pts]], anchors, s_nn, bandwidth)
@@ -284,7 +291,6 @@ def build_anchors(
         kernel_bandwidth=bandwidth,
         s_nn=s_nn,
         sigma=float(sigma),
-        landmark_embeddings=landmark_emb,
     )
     if hash_model is not None:
         model.anchor_codes = encode(hash_model, anchors)
@@ -330,27 +336,23 @@ def query_neighbor_profile(model: AnchorModel, z_q: SparseRow, n_landmarks: int 
 
 
 def save_anchor_model(path: Union[str, Path], model: AnchorModel) -> None:
-    """Binary blob: header, anchors (<f8), anchor codes, landmark embeddings (<f8)."""
+    """Binary blob: header, anchors (<f8), anchor codes."""
     if model.anchor_codes is None:
         raise ValueError("anchor model has no codes attached; build the index first")
-    emb = model.landmark_embeddings
     with open(path, "wb") as fh:
         fh.write(MAGIC_ANCHORS)
-        fh.write(struct.pack("<IIIIdd", 1, model.k, model.dim, model.s_nn,
+        fh.write(struct.pack("<IIIIdd", ANCHORS_VERSION, model.k, model.dim, model.s_nn,
                              model.kernel_bandwidth, model.sigma))
         fh.write(np.ascontiguousarray(model.anchors, dtype="<f8").tobytes())
         fh.write(struct.pack("<I", model.anchor_codes.bits))
         fh.write(np.ascontiguousarray(model.anchor_codes.words, dtype="<u8").tobytes())
-        fh.write(np.ascontiguousarray(emb.indices, dtype="<i4").tobytes())
-        fh.write(np.ascontiguousarray(emb.values, dtype="<f8").tobytes())
 
 
 def load_anchor_model(path: Union[str, Path]) -> AnchorModel:
-    rd = BinaryReader(path, MAGIC_ANCHORS, "anchors")
+    rd = BinaryReader(path, MAGIC_ANCHORS, "anchors", ANCHORS_VERSION)
     k, dim, s_nn, bandwidth, sigma = rd.header("<IIIdd")
     anchors = rd.array("<f8", k, dim)
     (bits,) = rd.header("<I")
     codes = read_codes(rd, k, bits)
-    emb = SparseEmbedding(indices=rd.array("<i4", k, s_nn), values=rd.array("<f8", k, s_nn))
     return rd.done(rd.make(AnchorModel, anchors=anchors, kernel_bandwidth=bandwidth, s_nn=s_nn,
-                           sigma=sigma, landmark_embeddings=emb, anchor_codes=codes))
+                           sigma=sigma, anchor_codes=codes))

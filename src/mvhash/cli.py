@@ -388,17 +388,21 @@ def cmd_query(args) -> int:
 
 def _eval_runs(index, ds, cfg: RunConfig, gt, valid_queries, bases, modes, ks, depth):
     """Per mode, metric -> each run's mean over the queries it draws, and the
-    PR curve averaged over every (run, query). Rankings are deterministic, so
-    each distinct query is ranked once and its metrics, solver stats and PR
-    curve are reused by every run that draws it; each run still adds them up
-    in draw order, so every sum is bit for bit that of ranking every draw."""
+    PR curve averaged over every (run, query). Each draw's curve runs to
+    depth, a short list's missing tail counting as misses (as precision@k
+    counts it), and the mean stops at the longest list drawn. Rankings are
+    deterministic, so each distinct query is ranked once and its metrics,
+    solver stats and PR curve are reused by every run that draws it; each run
+    still adds them up in draw order, so every sum is bit for bit that of
+    ranking every draw."""
     views = list(range(index.n_views))
     subsample = cfg.queries_per_run and cfg.queries_per_run < len(valid_queries)
     if not subsample:
         _log(f"eval: every run draws all {len(valid_queries)} valid queries: each stddev is 0")
-    scored: dict[int, dict[str, tuple[dict, np.ndarray]]] = {}  # id -> mode -> (stats, PR)
+    scored: dict[int, dict[str, tuple]] = {}  # id -> mode -> (stats, PR curve, list length)
     per_run: dict[str, dict[str, list]] = {m: {} for m in modes}
-    pr_sums: dict[str, np.ndarray] = {}
+    pr_sums = {mode: np.zeros((2, depth)) for mode in modes}
+    longest = dict.fromkeys(modes, 0)
     n_drawn = 0
     for run in range(cfg.runs):
         rng = np.random.default_rng(cfg.seed + 7919 * (run + 1))
@@ -411,23 +415,24 @@ def _eval_runs(index, ds, cfg: RunConfig, gt, valid_queries, bases, modes, ks, d
                 with _as_cli_error("ranking failed"):
                     ranked, solver = _rank(index, views, [v.data[q] for v in ds.views], bases,
                                            cfg, True, depth)
-                scored[q] = {mode: ({**ranking_metrics(ranked[mode][0], gt[q], ks, depth),
-                                     **solver.get(mode, {})},
-                                    # ids holds at most depth items
-                                    np.asarray(pr_curve(ranked[mode][0], gt[q])).T)
-                             for mode in modes}
+                scored[q] = {}
+                for mode in modes:
+                    ids = ranked[mode][0]  # at most depth ids; -1, no item's id, pads the tail
+                    scored[q][mode] = ({**ranking_metrics(ids, gt[q], ks, depth),
+                                        **solver.get(mode, {})},
+                                       pr_curve(np.pad(ids, (0, depth - len(ids)),
+                                                       constant_values=-1), gt[q]),
+                                       len(ids))
             n_drawn += 1
-            for mode, (stats, pr) in scored[q].items():
+            for mode, (stats, pr, length) in scored[q].items():
                 for name, val in stats.items():
                     acc[mode].setdefault(name, []).append(val)
-                if mode not in pr_sums:
-                    pr_sums[mode] = np.zeros(pr.shape)
-                width = min(pr_sums[mode].shape[1], pr.shape[1])
-                pr_sums[mode][:, :width] += pr[:, :width]
+                pr_sums[mode] += pr
+                longest[mode] = max(longest[mode], length)
         for mode in modes:
             for name, vals in acc[mode].items():
                 per_run[mode].setdefault(name, []).append(float(np.mean(vals)))
-    return per_run, {mode: pr_sums[mode] / n_drawn for mode in modes}
+    return per_run, {mode: pr_sums[mode][:, :longest[mode]] / n_drawn for mode in modes}
 
 
 def cmd_eval(args) -> int:

@@ -20,6 +20,7 @@ from .binfile import BinaryReader
 FAMILIES = ("lsh", "pcah", "itq")
 
 MAGIC_MODEL = b"MVHM"
+MODEL_VERSION = 2
 MAGIC_CODES = b"MVHC"
 # encode() projects at most this many rows at a time, so its float64
 # temporaries stay O(ENCODE_BLOCK * (d + B)) whatever the number of rows.
@@ -28,31 +29,26 @@ ENCODE_BLOCK = 8192
 
 @dataclass
 class HashModel:
-    """Trained hash function: bit k of x = sign((rotation @ projection @ (x - mean))_k).
+    """Trained hash function: bit k of x = sign((projection @ (x - mean))_k).
 
-    rotation is exactly the identity for lsh and pcah, and encode skips its
-    product; only itq learns one. Arrays are float64, the precision they are
-    serialized at, so a save/load round trip encodes identically. A
-    non-finite array, or an lsh or pcah rotation other than np.eye(B), is a
-    ValueError.
+    One linear map for every family: itq's learned rotation is folded into
+    its projection at training time. Arrays are float64, the precision they
+    are serialized at, so a save/load round trip encodes identically. A
+    non-finite array is a ValueError.
     """
 
     family: str
     mean: np.ndarray
     projection: np.ndarray
-    rotation: np.ndarray
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.projection = np.asarray(self.projection, dtype=np.float64)
-        self.rotation = np.asarray(self.rotation, dtype=np.float64)
-        for name in ("mean", "projection", "rotation"):
+        for name in ("mean", "projection"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite value in the {name}")
-        if self.family != "itq" and not np.array_equal(self.rotation, np.eye(self.bits)):
-            raise ValueError(f"{self.family} rotation must be the {self.bits} x {self.bits} identity")
 
     @property
     def bits(self) -> int:
@@ -154,7 +150,8 @@ def train(family: str, data: np.ndarray, bits: int, seed: int, itq_iters: int = 
 
     lsh draws Gaussian hyperplanes through the data mean; pcah keeps the top
     PCA directions and thresholds at the mean; itq refines pcah with a learned
-    orthogonal rotation (alternating sign assignment / Procrustes solve).
+    orthogonal rotation (alternating sign assignment / Procrustes solve) and
+    keeps the rotated directions as its projection.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -166,33 +163,25 @@ def train(family: str, data: np.ndarray, bits: int, seed: int, itq_iters: int = 
     mean = data.mean(axis=0)
     if family == "lsh":
         projection = rng.normal(size=(bits, dim))
-        rotation = np.eye(bits)
     elif family in ("pcah", "itq"):
         if bits > dim:
             raise ValueError(f"{family} needs bits <= dim, got bits={bits} dim={dim}")
         projection = _pca_directions(data, bits, rng)
-        if family == "pcah":
-            rotation = np.eye(bits)
-        else:
-            projected = (data - mean) @ projection.T
-            rot, _ = _itq_rotation(projected, itq_iters, rng)
-            # encode() applies rotation on the left of the projected column
-            # vector, i.e. row_vectors @ rotation.T, so store the transpose.
-            rotation = rot.T
+        if family == "itq":
+            rot, _ = _itq_rotation((data - mean) @ projection.T, itq_iters, rng)
+            projection = rot.T @ projection
     else:
         raise ValueError(f"unknown family {family!r}")
-    return HashModel(family=family, mean=mean, projection=projection, rotation=rotation)
+    return HashModel(family=family, mean=mean, projection=projection)
 
 
 def encode(model: HashModel, data: np.ndarray) -> PackedCodes:
     """Encode rows of data into packed codes under the model.
 
-    Bit k of item i is 1 iff (rotation @ projection @ (x_i - mean))_k >= 0.
-    Rows are projected ENCODE_BLOCK at a time, and each block's bits are
-    packed straight into the output; a row's bits do not depend on the rows
-    encoded with it. Only itq's rotation is applied: for lsh and pcah it is
-    the identity, whose product changes a finite value at most from -0.0 to
-    +0.0, which the sign test treats alike.
+    Bit k of item i is 1 iff (projection @ (x_i - mean))_k >= 0. Rows are
+    projected ENCODE_BLOCK at a time, and each block's bits are packed
+    straight into the output; a row's bits do not depend on the rows encoded
+    with it.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
     if data.shape[1] != model.dim:
@@ -200,8 +189,6 @@ def encode(model: HashModel, data: np.ndarray) -> PackedCodes:
     words = np.zeros((len(data), words_per_item(model.bits)), dtype=np.uint64)
     for lo in range(0, len(data), ENCODE_BLOCK):
         vals = (data[lo:lo + ENCODE_BLOCK] - model.mean) @ model.projection.T
-        if model.family == "itq":
-            vals = vals @ model.rotation.T
         _pack_rows(words, lo, vals >= 0.0)
         del vals  # free this block's values before the next block forms its own
     return PackedCodes(words=words, bits=model.bits)
@@ -241,24 +228,22 @@ def topk(dist: np.ndarray, k: int) -> np.ndarray:
 
 
 def save_model(path: Union[str, Path], model: HashModel) -> None:
-    """Versioned binary blob: family tag, dims, then mean/projection/rotation as <f8."""
+    """Versioned binary blob: family tag, dims, then mean and projection as <f8."""
     fam = FAMILIES.index(model.family)
     with open(path, "wb") as fh:
         fh.write(MAGIC_MODEL)
-        fh.write(struct.pack("<IBII", 1, fam, model.bits, model.dim))
+        fh.write(struct.pack("<IBII", MODEL_VERSION, fam, model.bits, model.dim))
         fh.write(np.ascontiguousarray(model.mean, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.projection, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.rotation, dtype="<f8").tobytes())
 
 
 def load_model(path: Union[str, Path]) -> HashModel:
-    rd = BinaryReader(path, MAGIC_MODEL, "model")
+    rd = BinaryReader(path, MAGIC_MODEL, "model", MODEL_VERSION)
     fam, bits, dim = rd.header("<BII")
     if fam >= len(FAMILIES):
         raise ValueError(f"{path}: unknown family tag {fam}")
-    arrays = dict(mean=rd.array("<f8", dim), projection=rd.array("<f8", bits, dim),
-                  rotation=rd.array("<f8", bits, bits))
-    return rd.done(rd.make(HashModel, family=FAMILIES[fam], **arrays))
+    return rd.done(rd.make(HashModel, family=FAMILIES[fam], mean=rd.array("<f8", dim),
+                           projection=rd.array("<f8", bits, dim)))
 
 
 def save_codes(path: Union[str, Path], codes: PackedCodes) -> None:

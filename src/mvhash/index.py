@@ -26,7 +26,7 @@ from .qrank import HashTable, independence_matrix, load_independence, save_indep
 MAGIC_SPLIT = b"MVHS"
 MANIFEST_NAME = "manifest.json"
 BUNDLE_FORMAT = "mvhash-bundle"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 MANIFEST_KEYS = ("files", "views", "split", "bits", "family", "seed")
 VIEW_FILES = ("model", "codes", "anchors", "independence")
 

@@ -59,17 +59,12 @@ def map_score(per_query_aps) -> float:
     return float(np.mean(aps))
 
 
-def pr_curve(ranked, relevant) -> list:
-    """(recall, precision) at every rank position of the list."""
+def pr_curve(ranked, relevant) -> np.ndarray:
+    """(recall, precision) at every rank position of the list, as a (2, len) array."""
     _check(relevant)
-    rel = set(relevant)
-    pts = []
-    hits = 0
-    for i, item in enumerate(list(ranked), start=1):
-        if item in rel:
-            hits += 1
-        pts.append((hits / len(rel), hits / i))
-    return pts
+    rel = np.asarray(list(relevant))
+    cum = np.cumsum(np.isin(np.asarray(ranked), rel))
+    return np.stack([cum / len(rel), cum / np.arange(1, len(cum) + 1)])
 
 
 def ranking_metrics(ranked, relevant, ks, depth: int) -> dict:
@@ -100,33 +95,26 @@ def ranking_metrics(ranked, relevant, ks, depth: int) -> dict:
 
 
 def brute_force_rank(subject, query, metric: str, k: int, weights=None) -> np.ndarray:
-    """Exhaustive scan oracle with the ascending-id tie rule.
+    """Exhaustive Hamming scan oracle with the ascending-id tie rule.
 
-    metric "euclidean" takes a data matrix and query vector; "hamming" and
-    "weighted_hamming" take PackedCodes and a query word row. Distances are
-    recomputed bit by bit here, independently of the packed fast paths.
+    metric "hamming" or "weighted_hamming"; subject is PackedCodes and query a
+    word row. Distances are recomputed bit by bit here, independently of the
+    packed fast paths.
     """
-    if metric == "euclidean":
-        data = np.asarray(subject, dtype=np.float64)
-        q = np.asarray(query, dtype=np.float64)
-        dist = np.sqrt(((data - q) ** 2).sum(axis=1))
-    elif metric in ("hamming", "weighted_hamming"):
-        if not isinstance(subject, PackedCodes):
-            raise ValueError("hamming oracles need PackedCodes")
-        bits = unpack_bits(subject)
-        qwords = np.asarray(query, dtype=np.uint64).reshape(1, -1)
-        qbits = unpack_bits(PackedCodes(qwords, subject.bits))[0]
-        neq = bits != qbits
-        if metric == "hamming":
-            dist = neq.sum(axis=1).astype(np.int64)
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            if len(w) != subject.bits:
-                raise ValueError("weight length must equal bit count")
-            dist = np.zeros(subject.n)
-            for pos in range(subject.bits):  # accumulate in bit order on purpose
-                dist += np.where(neq[:, pos], w[pos], 0.0)
-    else:
+    if metric not in ("hamming", "weighted_hamming"):
         raise ValueError(f"unknown metric {metric!r}")
-    order = np.argsort(dist, kind="stable")
-    return order[:k]
+    if not isinstance(subject, PackedCodes):
+        raise ValueError("hamming oracles need PackedCodes")
+    bits = unpack_bits(subject)
+    qwords = np.asarray(query, dtype=np.uint64).reshape(1, -1)
+    neq = bits != unpack_bits(PackedCodes(qwords, subject.bits))[0]
+    if metric == "hamming":
+        dist = neq.sum(axis=1).astype(np.int64)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if len(w) != subject.bits:
+            raise ValueError("weight length must equal bit count")
+        dist = np.zeros(subject.n)
+        for pos in range(subject.bits):  # accumulate in bit order on purpose
+            dist += np.where(neq[:, pos], w[pos], 0.0)
+    return np.argsort(dist, kind="stable")[:k]

@@ -5,9 +5,8 @@ from its definition, so tests can check the library against it.
 """
 
 import numpy as np
-import pytest
 
-from mvhash.anchors import AnchorModel, SparseEmbedding, embed, landmark_similarities
+from mvhash.anchors import SparseEmbedding, embed
 from mvhash.hashing import unpack_bits
 from mvhash.qrank import MI_SMOOTHING, WEIGHT_FLOOR, CalibrationResult, IndependenceMatrix
 
@@ -58,23 +57,13 @@ def kmeans_reference(data, k, rng, iters=25):
 
 def similarity(z_p, z_q, sigma):
     """Gaussian similarity exp(-||z_p - z_q||^2 / sigma^2) of two sparse rows,
-    computed on dense copies.
-
-    It also asserts that the library's `landmark_similarities`, with z_p as the
-    only landmark, gives the same value; the library rejects sigma <= 0.
-    """
+    computed on dense copies. `anchors.landmark_similarities` computes it
+    sparsely for every landmark at once; the tests compare the two."""
     k = int(max(z_p[0].max(), z_q[0].max())) + 1
-    model = AnchorModel(
-        anchors=np.zeros((k, 1)), kernel_bandwidth=1.0, s_nn=len(z_p[0]), sigma=sigma,
-        landmark_embeddings=SparseEmbedding(indices=np.asarray(z_p[0])[None],
-                                            values=np.asarray(z_p[1])[None]),
-    )
     p, q = np.zeros(k), np.zeros(k)
     p[z_p[0]] = z_p[1]
     q[z_q[0]] = z_q[1]
-    ref = float(np.exp(-((p - q) ** 2).sum() / (sigma * sigma)))
-    assert landmark_similarities(model, z_q)[0] == pytest.approx(ref, rel=1e-12, abs=1e-15)
-    return ref
+    return float(np.exp(-((p - q) ** 2).sum() / (sigma * sigma)))
 
 
 def mutual_information(codes, i, j, smoothing=MI_SMOOTHING):

@@ -125,11 +125,7 @@ def test_embed_normalization_arithmetic():
     d1 = np.sqrt(2 * bw**2 * np.log(3))
     anchors = np.array([[0.0], [d1]])
     x = np.array([0.0])
-    from mvhash.anchors import SparseEmbedding
-    model = AnchorModel(anchors=anchors, kernel_bandwidth=bw, s_nn=2, sigma=1.0,
-                        landmark_embeddings=SparseEmbedding(
-                            indices=np.zeros((2, 2), dtype=np.int32),
-                            values=np.full((2, 2), 0.5)))
+    model = AnchorModel(anchors=anchors, kernel_bandwidth=bw, s_nn=2, sigma=1.0)
     idx, vals = embed(model, x)
     order = np.argsort(idx)
     np.testing.assert_allclose(vals[order], [0.75, 0.25], atol=1e-12)
@@ -167,9 +163,33 @@ def test_similarity_monotone_in_distance():
 
 
 def test_similarity_rejects_bad_sigma():
-    z = (np.array([0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        similarity(z, z, sigma=0.0)
+    for sigma in (0.0, -1.0, float("nan"), float("inf"), 1e-170, 1e170):
+        with pytest.raises(ValueError, match="sigma must be positive with sigma\\^2 a finite"):
+            AnchorModel(anchors=np.zeros((1, 1)), kernel_bandwidth=1.0, s_nn=1, sigma=sigma)
+
+
+def test_anchor_model_rejects_values_the_query_path_cannot_square():
+    # 2 bw^2 and sigma^2 must be normal doubles, and anchor values at most
+    # sqrt(float64 max / (4 (d + 2))) in magnitude, so that nearest_anchors
+    # and the kernels stay finite
+    anchors = np.zeros((3, 2))
+    bound = np.sqrt(np.finfo(np.float64).max / 16)
+    for bw in (0.0, -1.0, float("nan"), float("inf"), 1e-170, 1e170):
+        with pytest.raises(ValueError, match="bandwidth must be positive with 2 bw\\^2 a finite"):
+            AnchorModel(anchors=anchors, kernel_bandwidth=bw, s_nn=1, sigma=1.0)
+    for value in (1e200, -np.nextafter(bound, np.inf), np.inf, np.nan):
+        bad = anchors.copy()
+        bad[1, 0] = value
+        with pytest.raises(ValueError, match="anchor values must be finite and at most"):
+            AnchorModel(anchors=bad, kernel_bandwidth=1.0, s_nn=1, sigma=1.0)
+    AnchorModel(anchors=anchors, kernel_bandwidth=1e-150, s_nn=1, sigma=1e-150)
+    edge = np.full((3, 2), -bound)
+    edge[0] = bound
+    model = AnchorModel(anchors=edge, kernel_bandwidth=1.0, s_nn=2, sigma=1.0)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        _, d2 = nearest_anchors(edge, edge, 2)
+        assert np.isfinite(d2).all() and d2.max() > 1e307
+        assert np.isfinite(model.landmark_embeddings.values).all()
 
 
 def test_similarity_symmetric():
@@ -217,6 +237,37 @@ def test_profile_top_set_matches_exhaustive_sort():
         # and the fast all-landmark similarity path agrees with the sparse one
         np.testing.assert_allclose(landmark_similarities(model, z_q), sims,
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("s_nn", [1, 3, 30])
+def test_landmark_similarities_match_the_dense_reference(s_nn):
+    from mvhash.anchors import landmark_similarities
+    rng = np.random.default_rng(20 + s_nn)
+    data = rng.normal(size=(200, 6))
+    model = _model(data, 30, s_nn=s_nn)
+    for i in range(0, 200, 20):
+        z_q = embed(model, data[i])
+        want = [similarity(model.landmark_embeddings.row(j), z_q, model.sigma)
+                for j in range(30)]
+        np.testing.assert_allclose(landmark_similarities(model, z_q), want,
+                                   rtol=1e-12, atol=1e-15)
+
+
+def test_landmark_embeddings_are_derived_from_the_anchors_on_first_use(tmp_path):
+    rng = np.random.default_rng(21)
+    data = rng.normal(size=(300, 7))
+    model = _model(data, 40, s_nn=4, with_codes=True)
+    assert "landmark_embeddings" not in vars(model)  # the build does not derive them
+    path = tmp_path / "anchors.bin"
+    save_anchor_model(path, model)
+    back = load_anchor_model(path)
+    assert "landmark_embeddings" not in vars(back)
+    query_neighbor_profile(back, embed(back, data[5]), 10)
+    assert "landmark_embeddings" in vars(back)
+    want = embed_many(model, model.anchors)
+    for got in (model.landmark_embeddings, back.landmark_embeddings):
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_profile_l_exceeds_k_rejected():

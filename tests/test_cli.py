@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mvhash.qrank as qrank_module
 from mvhash import ground_truth, load_bundle, load_vectors, save_vectors
+from mvhash.dataset import load_labels, save_labels
 from mvhash.cli import _overrides, build_parser, load_config, main
 from mvhash.hashing import PackedCodes, load_codes, save_codes
 from mvhash.qrank import IndependenceMatrix, save_independence
@@ -339,6 +341,34 @@ def test_eval_of_a_bundle_without_query_ids_is_an_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("mvhash: error:")
     assert "no query ids" in err
+
+
+def test_eval_pr_curve_rows_are_the_mean_recall_and_precision_at_k(capsys, tmp_path):
+    # qsrf fuses at most 2 x 10 candidates, so its lists are shorter than
+    # depth 30 and differ in length; a short list's tail counts as misses
+    code, out, _ = _run(capsys, ["synth", "--out", str(tmp_path / "data"), "--seed", "3",
+                                 "--synth-clusters", "4", "--synth-per-cluster", "40"])
+    assert code == 0
+    data = json.loads(out)
+    _run(capsys, ["build", "--view", data["views"][0], "--view", data["views"][1],
+                  "--labels", data["labels"], "--out", str(tmp_path / "bundle"),
+                  "--anchors", "30", "--n-train", "40", "--n-query", "20"])
+    ks = [str(k) for k in range(1, 31)]
+    code, _, _ = _run(capsys, [
+        "eval", "--bundle", str(tmp_path / "bundle"),
+        "--view", data["views"][0], "--view", data["views"][1], "--labels", data["labels"],
+        "--top-candidates", "10", "--ks", *ks, "--runs", "1", "--queries-per-run", "0",
+        "--modes", "qsrf", "--out-dir", str(tmp_path / "eval")])
+    assert code == 0
+    stats = json.loads((tmp_path / "eval" / "metrics.json").read_text())["modes"]["qsrf"]
+    rows = [tuple(map(float, line.split(",")[1:])) for line in
+            (tmp_path / "eval" / "pr_curves.csv").read_text().splitlines()[1:]]
+    assert 10 <= len(rows) < 30
+    for k, (recall, precision) in enumerate(rows, start=1):
+        assert recall == pytest.approx(stats[f"recall@{k}"]["mean"], abs=6e-7)
+        assert precision == pytest.approx(stats[f"precision@{k}"]["mean"], abs=6e-7)
+    # past the longest list every recall stays at its last value
+    assert rows[-1][0] == pytest.approx(stats["recall@30"]["mean"], abs=6e-7)
 
 
 def _valid_queries(bundle, labels_path):
@@ -691,6 +721,11 @@ def test_malformed_manifest_is_an_error(capsys, tmp_path):
 
     manifest_path.write_text("[1, 2]")
     assert "not a JSON object" in _query_bundle(capsys, tmp_path / "bundle", qfile)
+    assert manifest["version"] == 2
+    manifest_path.write_text(json.dumps({**manifest, "version": 1}))
+    bundle = tmp_path / "bundle"
+    assert _query_bundle(capsys, bundle, qfile) == (
+        f"mvhash: error: bundle {bundle}: {bundle}: unsupported bundle version 1\n")
     for key in ("files", "views", "split"):
         manifest_path.write_text(json.dumps({k: v for k, v in manifest.items() if k != key}))
         assert f"missing {key}" in _query_bundle(capsys, tmp_path / "bundle", qfile)
@@ -743,7 +778,7 @@ def _patch(bundle, manifest: dict, name: str, at: int, value: bytes) -> None:
 def test_bundle_with_bad_code_or_model_values_is_an_error(capsys, tmp_path):
     # Files whose hashes match their bytes and whose lengths are right: only
     # the value checks can catch them. Default lsh, 16 bits: the last byte of
-    # each code is padding, and the rotation (16 x 16 float64s) ends the model.
+    # each code is padding, and the projection (16 x 8 float64s) ends the model.
     data = _synth(capsys, tmp_path / "data")
     _build(capsys, data, tmp_path / "bundle")
     qfile = _query_files(data, tmp_path)[0]
@@ -751,10 +786,8 @@ def test_bundle_with_bad_code_or_model_values_is_an_error(capsys, tmp_path):
     manifest = json.loads((bundle / "manifest.json").read_text())
     for name, at, value, message in (
             ("view0.codes.bin", -1, b"\x80", "code row 79 sets padding bits past bit 16"),
-            ("view0.model.bin", -8 * 16 * 16 + 8, struct.pack("<d", 0.5),
-             "lsh rotation must be the 16 x 16 identity"),
             ("view0.model.bin", -8, struct.pack("<d", float("nan")),
-             "non-finite value in the rotation")):
+             "non-finite value in the projection")):
         blob = (bundle / name).read_bytes()
         _patch(bundle, manifest, name, at, value)
         err = _query_bundle(capsys, bundle, qfile)
@@ -763,8 +796,10 @@ def test_bundle_with_bad_code_or_model_values_is_an_error(capsys, tmp_path):
 
 
 def test_bundle_with_bad_anchor_independence_or_split_values_is_an_error(capsys, tmp_path):
-    # 25 anchors, s_nn 3: the landmark ids (int32) and values (float64) end
-    # the anchors file. a[0, 1] follows a 20-byte header and a[0, 0]; the
+    # The anchors file: a 20-byte header, then bandwidth, sigma and the
+    # anchors; an anchor value of 1e200 overflowed nearest_anchors' squares,
+    # and a bandwidth of 1e-170 makes the 2 bw^2 that kernel_rows divides by
+    # underflow to 0. a[0, 1] follows a 20-byte header and a[0, 0]; the
     # query ids follow the split's 20-byte header and its 40 train ids.
     data = _synth(capsys, tmp_path / "data")
     _build(capsys, data, tmp_path / "bundle")
@@ -773,12 +808,11 @@ def test_bundle_with_bad_anchor_independence_or_split_values_is_an_error(capsys,
     manifest = json.loads((bundle / "manifest.json").read_text())
     split = load_bundle(bundle).split
     db_id = int(split.database[split.database < split.query[1]].max())  # query ids stay sorted
-    landmark_ids = -(4 + 8) * 25 * 3
     for name, at, value, message in (
-            ("view0.anchors.bin", landmark_ids, struct.pack("<i", 25),
-             "landmark anchor ids must lie in [0, 25)"),
-            ("view0.anchors.bin", landmark_ids, struct.pack("<i", -1),
-             "landmark anchor ids must lie in [0, 25)"),
+            ("view0.anchors.bin", 36, struct.pack("<d", 1e200),
+             "anchor values must be finite and at most 2.11996e+153 in magnitude"),
+            ("view0.anchors.bin", 20, struct.pack("<d", 1e-170),
+             "bandwidth must be positive with 2 bw^2 a finite normal double, got 1e-170"),
             ("view0.indep.bin", 28, struct.pack("<d", float("nan")),
              "independence entries must lie in [0, 1]"),
             ("view0.indep.bin", 28, struct.pack("<d", -5.0),
@@ -787,8 +821,10 @@ def test_bundle_with_bad_anchor_independence_or_split_values_is_an_error(capsys,
              f"query id {db_id} is also a database id")):
         blob = (bundle / name).read_bytes()
         _patch(bundle, manifest, name, at, value)
-        code, out, err = _run(capsys, ["query", "--bundle", str(bundle), "--mode", "qsrf",
-                                       "--queries", qfiles[0], "--queries", qfiles[1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["query", "--bundle", str(bundle), "--mode", "qsrf",
+                                           "--queries", qfiles[0], "--queries", qfiles[1]])
         assert (code, out) == (1, "")
         assert err.startswith(f"mvhash: error: bundle {bundle}: {bundle / name}: {message}")
         assert "Traceback" not in err
@@ -804,7 +840,7 @@ def _quiet(argv):
 
 
 @pytest.fixture(scope="module")
-def fuzz_bundle(tmp_path_factory):
+def small_bundle(tmp_path_factory):
     """A small two-view bundle, built once: (data, query files, bundle dir)."""
     root = tmp_path_factory.mktemp("fuzz")
     code, out, _ = _quiet(["synth", "--out", str(root / "data"), "--seed", "3",
@@ -817,6 +853,70 @@ def fuzz_bundle(tmp_path_factory):
         queries.append(str(root / f"queries{m}.mvh"))
         save_vectors(queries[-1], load_vectors(path)[:3])
     return data, queries, root / "bundle"
+
+
+_FAILURES = {  # case -> the message of its expected failure (None: exit 0)
+    "family-from-config": "family must be one of ('lsh', 'pcah', 'itq')",
+    "s_nn-above-anchors": "need anchors >= 1 and 1 <= s_nn <= anchors",
+    "landmarks-above-anchors": "need 1 <= landmarks <= anchors",
+    "restart-mass-1": "restart_mass must be in (0, 1)",
+    "ks-0": "eval_ks must be positive",
+    "config-not-an-object": "config {cfg}: expected a JSON object",
+    "views-differ-in-rows": "view 'view1' has 89 items but view 'view0' has 90",
+    "split-above-n": "n_train + n_query = 100 exceeds n = 90",
+    "qsrf-queries-differ-in-rows": "queries view files disagree on the number of rows",
+    "query-without-queries": "pass --queries at least once",
+    "view-out-of-range": "--view 2 out of range for 2 views",
+    "no-valid-query": "zero valid queries: every query has an empty relevant set",
+    "some-queries-excluded": None,
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_expected_failures_end_in_their_message(small_bundle, tmp_path, case):
+    data, queries, bundle = small_bundle  # 90 items, 2 views, 25 anchors
+    views = [arg for path in data["views"] for arg in ("--view", path)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text({"family-from-config": '{"family": "xyz"}',
+                    "config-not-an-object": "[1, 2]"}.get(case, "{}"))
+    short = str(tmp_path / "short.mvh")
+    save_vectors(short, load_vectors(data["views"][1])[:89])
+    short_queries = str(tmp_path / "short_queries.mvh")
+    save_vectors(short_queries, load_vectors(queries[1])[:2])
+    labels = load_labels(data["labels"])
+    query_ids = load_bundle(bundle).split.query
+    alone = tmp_path / "alone.txt"  # items whose label no other item has
+    if case == "no-valid-query":
+        save_labels(alone, 100 + np.arange(len(labels)))
+    else:
+        labels[query_ids[:2]] = [100, 101]
+        save_labels(alone, labels)
+    build = ["build", "--config", str(cfg), "--out", str(tmp_path / "b")]
+    query = ["query", "--bundle", str(bundle), "--queries", queries[0]]
+    evaluate = ["eval", "--bundle", str(bundle), *views, "--labels", str(alone),
+                "--runs", "1", "--modes", "hamming", "--out-dir", str(tmp_path / "eval")]
+    argv = {
+        "family-from-config": build + views,
+        "s_nn-above-anchors": build + views + ["--anchors", "5", "--s-nn", "6"],
+        "landmarks-above-anchors": query + ["--landmarks", "26"],
+        "restart-mass-1": query + ["--restart-mass", "1"],
+        "ks-0": evaluate + ["--ks", "0"],
+        "config-not-an-object": build + views,
+        "views-differ-in-rows": build + ["--view", data["views"][0], "--view", short],
+        "split-above-n": build + views + ["--n-train", "80", "--n-query", "20"],
+        "qsrf-queries-differ-in-rows": query + ["--queries", short_queries, "--mode", "qsrf"],
+        "query-without-queries": ["query", "--bundle", str(bundle)],
+        "view-out-of-range": query + ["--view", "2"],
+        "no-valid-query": evaluate,
+        "some-queries-excluded": evaluate,
+    }[case]
+    code, out, err = _quiet(argv)
+    if _FAILURES[case] is None:
+        assert code == 0
+        assert "eval: excluded 2 queries with empty relevant sets" in err.splitlines()
+    else:
+        assert (code, out) == (1, "")
+        assert err == f"mvhash: error: {_FAILURES[case].format(cfg=cfg)}\n"
 
 
 def _check_run(code: int, out: str, err: str, mode: str | None, out_dir: Path) -> None:
@@ -841,8 +941,8 @@ def _check_run(code: int, out: str, err: str, mode: str | None, out_dir: Path) -
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_bundle_with_overwritten_bytes_fails_cleanly_or_runs(fuzz_bundle, data):
-    dataset, queries, bundle = fuzz_bundle
+def test_bundle_with_overwritten_bytes_fails_cleanly_or_runs(small_bundle, data):
+    dataset, queries, bundle = small_bundle
     manifest = json.loads((bundle / "manifest.json").read_text())
     name = data.draw(st.sampled_from(sorted(manifest["files"])), label="file")
     size = (bundle / name).stat().st_size

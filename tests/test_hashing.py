@@ -98,15 +98,13 @@ def test_hamming_is_a_metric_on_random_triples():
 
 
 def test_encode_identity_projection():
-    model = HashModel(family="lsh", mean=np.zeros(2), projection=np.eye(2),
-                      rotation=np.eye(2))
+    model = HashModel(family="lsh", mean=np.zeros(2), projection=np.eye(2))
     codes = encode(model, np.array([[1.0, -2.0]]))
     np.testing.assert_array_equal(unpack_bits(codes)[0], [1, 0])
 
 
 def test_encode_tie_at_zero_goes_positive():
-    model = HashModel(family="lsh", mean=np.zeros(1), projection=np.eye(1),
-                      rotation=np.eye(1))
+    model = HashModel(family="lsh", mean=np.zeros(1), projection=np.eye(1))
     codes = encode(model, np.array([[0.0]]))
     assert unpack_bits(codes)[0, 0] == 1
 
@@ -126,14 +124,18 @@ def test_encode_one_matches_encode():
        st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 2)]),
        st.integers(0, 2**32 - 1))
 def test_block_encoding_gives_the_one_shot_codes(family, bits, block, rows, seed):
-    # n = blocks * block + extra rows: empty, one row, and around block boundaries
+    # n = blocks * block + extra rows: empty, one row, and around block
+    # boundaries. A row at the mean centres to +0.0 and projects to 0, which
+    # the sign test sends to bit 1.
     blocks, extra = rows
     n = blocks * block + extra
     rng = np.random.default_rng(seed)
     dim = bits + 3  # pcah and itq need bits <= dim
     model = train(family, rng.normal(size=(dim + 20, dim)), bits, seed=seed, itq_iters=5)
     x = rng.normal(size=(n, dim))
-    one_shot = pack_bits(((x - model.mean) @ model.projection.T @ model.rotation.T) >= 0.0)
+    if n:
+        x[rng.integers(n, size=2)] = model.mean
+    one_shot = pack_bits(((x - model.mean) @ model.projection.T) >= 0.0)
     with mock.patch.object(hashing, "ENCODE_BLOCK", block):
         codes = encode(model, x)
         for i in range(n):
@@ -148,11 +150,11 @@ def test_block_encoding_gives_the_one_shot_codes(family, bits, block, rows, seed
 def test_lsh_and_pcah_encode_skips_only_an_identity_product(family, bits, block, n, seed):
     # Rows at the mean centre to +0.0; rows at -0.0 about a zero mean centre
     # to -0.0. Either projects to 0, which the sign test sends to bit 1 with
-    # or without the identity product.
+    # or without an identity product after the projection.
     rng = np.random.default_rng(seed)
     dim = bits + 2
     trained = train(family, rng.normal(size=(dim + 20, dim)), bits, seed=seed)
-    for model in (trained, HashModel(family, np.zeros(dim), trained.projection, np.eye(bits))):
+    for model in (trained, HashModel(family, np.zeros(dim), trained.projection)):
         x = rng.normal(size=(n + 3, dim))
         x[rng.integers(n + 3, size=2)] = model.mean
         x[rng.integers(n + 3)] = -0.0
@@ -161,25 +163,16 @@ def test_lsh_and_pcah_encode_skips_only_an_identity_product(family, bits, block,
             np.testing.assert_array_equal(encode(model, x).words, want.words)
 
 
-def test_hash_model_rejects_non_finite_arrays_and_a_learned_lsh_or_pcah_rotation():
+def test_hash_model_rejects_non_finite_arrays():
     mean, proj = np.zeros(3), np.ones((2, 3))
-    for arrays in ((np.array([0.0, np.nan, 0.0]), proj, np.eye(2)),
-                   (mean, np.full((2, 3), np.inf), np.eye(2)),
-                   (mean, proj, np.array([[1.0, 0.0], [0.0, -np.inf]]))):
+    for arrays in ((np.array([0.0, np.nan, 0.0]), proj), (mean, np.full((2, 3), np.inf))):
         for family in FAMILIES:
             with pytest.raises(ValueError, match="non-finite"):
                 HashModel(family, *arrays)
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    for family in ("lsh", "pcah"):
-        for rot in (swap, np.eye(2) * (1 + 2**-52), np.eye(3)):
-            with pytest.raises(ValueError, match="identity"):
-                HashModel(family, mean, proj, rot)
-    assert HashModel("itq", mean, proj, swap).family == "itq"
 
 
 def test_encode_dimension_mismatch():
-    model = HashModel(family="lsh", mean=np.zeros(2), projection=np.eye(2),
-                      rotation=np.eye(2))
+    model = HashModel(family="lsh", mean=np.zeros(2), projection=np.eye(2))
     with pytest.raises(ValueError):
         encode(model, np.ones((3, 5)))
 
@@ -191,11 +184,9 @@ def test_train_deterministic_per_family():
         m1 = train(family, data, 8, seed=11)
         m2 = train(family, data, 8, seed=11)
         np.testing.assert_array_equal(m1.projection, m2.projection)
-        np.testing.assert_array_equal(m1.rotation, m2.rotation)
         m3 = train(family, data, 8, seed=12)
         if family != "pcah":  # pcah has no random component
-            assert not np.array_equal(m1.projection, m3.projection) or \
-                not np.array_equal(m1.rotation, m3.rotation)
+            assert not np.array_equal(m1.projection, m3.projection)
 
 
 def test_train_rejects_too_many_bits_for_pca_families():
@@ -208,11 +199,14 @@ def test_train_rejects_too_many_bits_for_pca_families():
 
 
 def test_itq_rotation_is_orthogonal():
+    # itq's projection is pcah's directions under the folded rotation
     rng = np.random.default_rng(7)
     data = rng.normal(size=(200, 24))
     model = train("itq", data, 16, seed=8)
-    r = model.rotation
+    pca = train("pcah", data, 16, seed=8).projection
+    r = model.projection @ pca.T
     assert np.abs(r.T @ r - np.eye(16)).max() < 1e-6
+    assert np.abs(r @ pca - model.projection).max() < 1e-12
 
 
 def test_itq_quantization_loss_non_increasing():
@@ -342,6 +336,6 @@ def test_encode_unpack_reproduces_projection_signs():
     rng = np.random.default_rng(16)
     data = rng.normal(size=(60, 9))
     model = train("pcah", data, 6, seed=17)
-    projected = (data - model.mean) @ model.projection.T @ model.rotation.T
+    projected = (data - model.mean) @ model.projection.T
     expected = (projected >= 0.0).astype(np.uint8)
     np.testing.assert_array_equal(unpack_bits(encode(model, data)), expected)

@@ -64,13 +64,15 @@ def test_build_index_codes_are_the_database_rows_codes(family):
 
 
 @pytest.mark.parametrize("family, bits, digest", [
-    ("lsh", 48, "b563f428869c0b65c2c71bdafcf690cb1c913fdfdaa5ca4673e93f6e2327184a"),
-    ("pcah", 10, "5e16a0de923e05872e8a338f000333e580ed68045f59c21c234cec92e48b5854"),
+    ("lsh", 48, "3f5343b23d483efcf06c6431f4b044f076080615c4d04bb95a5a0efb389d27f2"),
+    ("pcah", 10, "fd4ebb56760af28b880ee9b41390de03c84a2f70ecca305e0ca0856d95361ed7"),
 ], ids=["lsh", "pcah"])
 def test_model_and_code_files_are_pinned(tmp_path, family, bits, digest):
-    # Digests of both views' model and codes files, as the build wrote them
-    # when it still applied the identity rotation; pcah's directions come from
-    # LAPACK's eigh, so another LAPACK build may round them differently.
+    # Digests of both views' model and codes files. They were derived from
+    # the files of the build that still stored and applied an identity
+    # rotation: each model's version field set to 2 and its trailing B x B
+    # rotation block dropped. pcah's directions come from LAPACK's eigh, so
+    # another LAPACK build may round them differently.
     ds = gen_synthetic(n_clusters=4, per_cluster=60, n_views=2, dim=12, seed=3)
     split = make_split(ds.n, n_train=60, n_query=20, seed=2)
     save_bundle(build_index(ds, split, bits=bits, family=family, anchors=20, s_nn=3, seed=4),

@@ -97,21 +97,21 @@ def test_empty_relevant_set_raises():
 
 
 def test_pr_curve_perfect_ranking():
-    pts = pr_curve([1, 2, 3], {1, 2, 3})
-    assert pts == [(1 / 3, 1.0), (2 / 3, 1.0), (1.0, 1.0)]
+    np.testing.assert_array_equal(pr_curve([1, 2, 3], {1, 2, 3}),
+                                  [[1 / 3, 2 / 3, 1.0], [1.0, 1.0, 1.0]])
 
 
 def test_pr_curve_recall_is_monotone_and_ends_at_full_recall():
     rng = np.random.default_rng(3)
     ranked = rng.permutation(40).tolist()
     relevant = set(rng.choice(40, size=12, replace=False).tolist())
-    pts = pr_curve(ranked, relevant)
-    recalls = [r for r, _ in pts]
+    recalls, precisions = pr_curve(ranked, relevant)
     assert all(b >= a for a, b in zip(recalls, recalls[1:]))
     assert recalls[-1] == 1.0
-    for r, p in pts:
+    for i, (r, p) in enumerate(zip(recalls, precisions), start=1):
         assert 0.0 <= r <= 1.0
         assert 0.0 < p <= 1.0 or p == 0.0
+        assert (r, p) == (recall_at_k(ranked, relevant, i), precision_at_k(ranked, relevant, i))
 
 
 # ------------------------------------------------------- vectorized bundle
@@ -153,18 +153,6 @@ def test_counts_recovered_from_rates_are_integers():
 
 
 # ------------------------------------------------------------------ oracle
-
-
-def test_brute_force_euclidean_one_dimensional():
-    data = np.array([[0.0], [2.0], [5.0], [6.0]])
-    order = brute_force_rank(data, np.array([4.9]), "euclidean", k=4)
-    np.testing.assert_array_equal(order, [2, 3, 1, 0])
-
-
-def test_brute_force_self_is_first():
-    rng = np.random.default_rng(10)
-    data = rng.normal(size=(20, 4))
-    assert brute_force_rank(data, data[13], "euclidean", k=1)[0] == 13
 
 
 def test_brute_force_hamming_counts_bits():

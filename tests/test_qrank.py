@@ -20,7 +20,7 @@ from mvhash.qrank import (WEIGHT_FLOOR, HashTable, IndependenceMatrix, QueryPara
                           dyadic_weights, hamming_query, independence_matrix,
                           pairwise_mutual_information, qrank_query, raw_weights,
                           weighted_hamming_scan, weighted_topk)
-from references import calibrate_per_step, embed_many, mutual_information
+from references import calibrate_per_step, mutual_information
 
 
 def weighted_hamming(codes, i, query_words, wstar):
@@ -189,21 +189,15 @@ def test_raw_weights_gamma_scales_exponent():
 def test_raw_weights_balanced_mass_gives_one():
     # two anchors mirrored around the query get equal profile weight; one
     # agrees and one disagrees on the single bit, so the exponent cancels
-    from mvhash.anchors import AnchorModel, SparseEmbedding
+    from mvhash.anchors import AnchorModel
     anchors = np.array([[1.0, 0.0], [-1.0, 0.0]])
     hm = train("lsh", np.vstack([anchors, np.zeros((4, 2))]), 1, seed=3)
-    emb = embed_many(
-        AnchorModel(anchors=anchors, kernel_bandwidth=1.0, s_nn=2, sigma=1.0,
-                    landmark_embeddings=SparseEmbedding(
-                        indices=np.zeros((2, 2), dtype=np.int32),
-                        values=np.full((2, 2), 0.5))),
-        anchors)
     query = np.zeros(2)
     q_bit = np.unpackbits(encode_one(hm, query).view(np.uint8),
                           bitorder="little")[0]
     codes = pack_bits(np.array([[q_bit], [1 - q_bit]], dtype=np.uint8))
     model = AnchorModel(anchors=anchors, kernel_bandwidth=1.0, s_nn=2,
-                        sigma=1.0, landmark_embeddings=emb, anchor_codes=codes)
+                        sigma=1.0, anchor_codes=codes)
     w = raw_weights(hm, model, query, gamma=1.0, n_landmarks=2)
     assert w[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -527,7 +521,7 @@ def _identity_table(bits01: np.ndarray) -> HashTable:
     vector 2 * bits - 1 encodes to exactly those bits. Weights come from the
     caller (raw_weights is patched), so no anchors or independence are needed."""
     n, b = bits01.shape
-    model = HashModel(family="lsh", mean=np.zeros(b), projection=np.eye(b), rotation=np.eye(b))
+    model = HashModel(family="lsh", mean=np.zeros(b), projection=np.eye(b))
     return HashTable(name="t", hash_model=model, codes=pack_bits(bits01),
                      db_ids=3 * np.arange(n, dtype=np.int64) + 7,
                      anchor_model=None, independence=None)
