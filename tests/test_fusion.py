@@ -1,5 +1,7 @@
 """Tests for candidate graphs, superposition, and the restart walk."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,6 +20,7 @@ from mvhash import (
     closed_form_rank,
     fuse,
     gen_synthetic,
+    hamming_query,
     make_split,
     pack_bits,
     qrank_query,
@@ -52,6 +55,26 @@ def _two_view_index(seed=11):
     idx = build_index(ds, split, bits=16, family="lsh", anchors=40, s_nn=3,
                      seed=seed)
     return ds, split, idx
+
+
+def test_two_view_lsh_rankings_are_pinned():
+    """Every hamming, qrank and qsrf id and score bit of an lsh, random-anchor,
+    two-view index, each query ranking the whole database. A change that
+    moves a ranking on purpose re-derives the pin and says which modes moved."""
+    ds, split, idx = _two_view_index()
+    top_n = len(split.database)
+    digest = hashlib.sha256()
+    for q in split.query:
+        queries = [view.data[q] for view in ds.views]
+        for table, x in zip(idx.tables, queries):
+            ids, dist = hamming_query(table, x, top_n=top_n)
+            res = qrank_query(table, x, top_n=top_n)
+            for arr in (ids, dist, res.ids, res.distances):
+                digest.update(arr.tobytes())
+        fused = qsrf_search(idx, queries, QsrfParams(top_n=top_n))
+        digest.update(fused.ids.tobytes())
+        digest.update(fused.scores.tobytes())
+    assert digest.hexdigest() == "4ca9ca2c56f2983df1db847e83bbebe7193c32f9844dfd8a0ee4f8169ecf2219"
 
 
 # ---------------------------------------------------------------- embedding

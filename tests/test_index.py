@@ -262,3 +262,6 @@ def test_bundle_and_rankings_do_not_depend_on_blas_threads(tmp_path):
         runs.append(json.loads(proc.stdout))
     assert runs[0]["files"] == runs[1]["files"]
     assert runs[0]["results"] == runs[1]["results"]
+    # every hamming, qrank and qsrf id and score bit; a change that moves a
+    # ranking on purpose re-derives the pin and says which modes moved
+    assert runs[0]["results"] == "750500618d0acb1fe9ae19522e1b83b4e26a6f228a12040b5646a962e24fabb7"
