@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .binfile import BinaryReader
-from .hashing import HashModel, PackedCodes, encode, read_codes, topk
+from .hashing import HashModel, PackedCodes, encode, kth_smallest, read_codes, topk
 
 MAGIC_ANCHORS = b"MVHA"
 ANCHORS_VERSION = 2
@@ -160,7 +160,8 @@ def smallest_per_row(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, s: in
 def kernel_rows(dist: np.ndarray, scale: float) -> np.ndarray:
     """exp(-dist / scale) floored at 1e-300, rows normalized to sum 1. Each row
     is shifted by its first, smallest entry, which cancels in the normalization."""
-    vals = np.exp(-(dist - dist[:, :1]) / scale)
+    with np.errstate(over="ignore"):  # an inf quotient is meant: exp(-inf) = 0, floored below
+        vals = np.exp(-(dist - dist[:, :1]) / scale)
     np.maximum(vals, 1e-300, out=vals)
     vals /= vals.sum(axis=1, keepdims=True)
     return vals
@@ -202,11 +203,11 @@ def nearest_anchors(points: np.ndarray, anchors: np.ndarray, s: int):
     <= 2 (d + 2) eps N to first order. delta_x = 4 (d + 2) (eps (|x|^2 + max
     |a|^2) + tiny) bounds it with a 2x margin for second-order terms, the
     computed norms, the rounding of delta_x and (tiny) gradual underflow.
-    With S_(s) the row's s-th smallest S (its minimum when s = 1), the s
-    anchors of smallest S have E <= S_(s) + delta_x, so the s-th smallest E
-    is at most that, and each anchor of the exact top s has S <= S_(s) +
-    2 delta_x. Rounding is monotone, so S <= fl(S_(s) + 2 delta_x) keeps
-    them all; only that window is scored exactly.
+    With S_(s) the row's s-th smallest S, the s anchors of smallest S have E
+    <= S_(s) + delta_x, so the s-th smallest E is at most that, and each
+    anchor of the exact top s has S <= S_(s) + 2 delta_x. Rounding is
+    monotone, so S <= fl(S_(s) + 2 delta_x) keeps them all; only that window
+    is scored exactly.
     """
     n, k = len(points), len(anchors)
     if not 1 <= s <= k:
@@ -219,7 +220,7 @@ def nearest_anchors(points: np.ndarray, anchors: np.ndarray, s: int):
     for lo in range(0, max(n, 1), step):  # one empty block when n = 0
         x = points[lo:lo + step]
         screen, delta = _screen(x, (x ** 2).sum(axis=1), anchors, aa)
-        kth = screen.min(axis=1) if s == 1 else np.partition(screen, s - 1, axis=1)[:, s - 1]
+        kth = kth_smallest(screen, s)
         # flatnonzero and divmod take half the time of a 2-d np.nonzero
         rows, cols = np.divmod(np.flatnonzero(screen <= (kth + 2.0 * delta)[:, None]), k)
         windows.append((rows + lo, cols, ((x[rows] - anchors[cols]) ** 2).sum(axis=1)))

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .anchors import SCREEN_ENTRIES, SparseEmbedding, kernel_rows, smallest_per_row
-from .hashing import PackedCodes, unpack_bits
+from .hashing import PackedCodes, kth_smallest, unpack_bits
 from .qrank import HashTable, QueryParams, QRankResult, qrank_query, weighted_hamming_scan
 
 QUERY_VERTEX = -1
@@ -273,8 +273,7 @@ def candidate_embedding(
     # prune: anchors too far from the pivot to reach any row's top s_nn
     to_anchor = weighted_hamming_scan(anchor_codes, pivot, wstar)
     radius = float(weighted_hamming_scan(cands, pivot, wstar).max())
-    kth = np.partition(to_anchor, s_nn - 1)[s_nn - 1]
-    kept = np.flatnonzero(to_anchor <= kth + 2.0 * radius)
+    kept = np.flatnonzero(to_anchor <= kth_smallest(to_anchor, s_nn) + 2.0 * radius)
     ab = unpack_bits(PackedCodes(anchor_codes.words[kept], bits))
     cw = unpack_bits(cands) * wstar
     lhs = np.hstack([-2.0 * cw, cw.sum(axis=1)[:, None], np.ones((cands.n, 1))])
@@ -283,9 +282,8 @@ def candidate_embedding(
     flat, vals = [], []
     for lo in range(0, cands.n, step):
         screen = lhs[lo:lo + step] @ rhs
-        top = np.partition(screen, s_nn - 1, axis=1)[:, s_nn - 1]
         # flatnonzero and divmod take half the time of a 2-d np.nonzero here
-        at = np.flatnonzero(screen <= top[:, None])
+        at = np.flatnonzero(screen <= kth_smallest(screen, s_nn)[:, None])
         flat.append(at + lo * len(kept))
         vals.append(screen.ravel()[at])
     rows, cols = np.divmod(np.concatenate(flat), len(kept))

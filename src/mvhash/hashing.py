@@ -7,6 +7,7 @@ uint64 words, ceil(B/64) words per item, padding bits zero.
 
 from __future__ import annotations
 
+import bisect
 import struct
 import warnings
 from dataclasses import dataclass
@@ -207,23 +208,30 @@ def hamming_scan(codes: PackedCodes, query_words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(x).sum(axis=1, dtype=np.min_scalar_type(codes.bits))
 
 
+def kth_smallest(values: np.ndarray, k: int):
+    """The k-th smallest entry of a 1-d array, or of each row of a 2-d one;
+    needs 1 <= k <= the row length. k = 1 is the minimum. Unsigned integers of
+    at most 16 bits (popcounts) in 1-d bisect over [0, max] for the first v
+    with at least k entries at or below it; anything else is np.partition's.
+    """
+    if k == 1:
+        return values.min(axis=-1)
+    if values.ndim == 1 and values.dtype.kind == "u" and values.dtype.itemsize <= 2:
+        return bisect.bisect_left(range(int(values.max()) + 1), k,
+                                  key=lambda v: np.count_nonzero(values <= v))
+    return np.partition(values, k - 1, axis=-1)[..., k - 1]
+
+
 def topk(dist: np.ndarray, k: int) -> np.ndarray:
     """np.argsort(dist, kind="stable")[:k] without sorting all of dist.
 
-    The k-th smallest value comes from a counting select, the first v with
-    at least k entries at or below it, when dist holds unsigned integers of
-    at most 16 bits (hamming_scan's counts), and from np.partition
-    otherwise. Every entry at or below it, ties at the boundary included,
-    is kept in ascending index order, and a stable sort of that window gives
-    the order. Needs 1 <= k <= len(dist).
+    Every entry at or below the k-th smallest value (kth_smallest), ties at
+    the boundary included, is kept in ascending index order, and a stable
+    sort of that window gives the order. Needs 1 <= k <= len(dist).
     """
     if not 1 <= k <= len(dist):
         raise ValueError(f"need 1 <= k <= {len(dist)}, got k={k}")
-    if dist.dtype.kind == "u" and dist.dtype.itemsize <= 2:
-        kth = int(np.searchsorted(np.cumsum(np.bincount(dist)), k))
-    else:
-        kth = np.partition(dist, k - 1)[k - 1]
-    window = np.flatnonzero(dist <= kth)
+    window = np.flatnonzero(dist <= kth_smallest(dist, k))
     return window[np.argsort(dist[window], kind="stable")[:k]]
 
 

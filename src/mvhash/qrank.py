@@ -20,8 +20,8 @@ import numpy as np
 
 from .anchors import AnchorModel, embed, query_neighbor_profile
 from .binfile import BinaryReader
-from .hashing import (HashModel, PackedCodes, encode_one, hamming_scan, pack_bits, topk,
-                      unpack_bits)
+from .hashing import (HashModel, PackedCodes, encode_one, hamming_scan, kth_smallest, pack_bits,
+                      topk, unpack_bits)
 
 MAGIC_INDEP = b"MVHI"
 
@@ -30,8 +30,8 @@ WEIGHT_FLOOR = 1e-12
 # weighted_topk bounds every item by a masked popcount from this many items on
 BOUND_ITEMS = 1 << 16
 
-# bit b of byte value v, little-endian within the byte: (256, 8) of 0/1
-_BYTE_BITS = unpack_bits(PackedCodes(np.arange(256, dtype=np.uint64)[:, None], 8))
+# bit b of byte value v, little-endian within the byte: (256, 8) float64 of 0/1
+_BYTE_BITS = unpack_bits(PackedCodes(np.arange(256, dtype=np.uint64)[:, None], 8)).astype(float)
 
 
 @dataclass
@@ -305,22 +305,18 @@ def weighted_hamming_scan(
     """Weighted Hamming distance from the query to every item: sum of w* over set XOR bits.
 
     Byte tables T[j][v] (ceil(B/8) x 256) hold the summed w* of the bits set
-    in byte value v of byte j; padding bits weigh 0. An item's distance is
-    the sum of T[j][x_j] over the bytes x_j of (item XOR query), ceil(B/8)
-    gathers an item. On the grid of dyadic_weights every table entry and
-    every such sum is exact, so the sum in any other order, ascending bit
-    order included, gives the same bits. Weights of other than codes.bits
-    entries, or a query of other than words_per_item(codes.bits) words, are
-    a ValueError.
+    in byte value v of byte j, all formed in one product of the zero-padded
+    w*, as (ceil(B/8), 8), with the bits of every byte value. An item's
+    distance is the sum of T[j][x_j] over the bytes x_j of (item XOR query),
+    ceil(B/8) gathers an item. On the grid of dyadic_weights every table
+    entry (at most 8 weights) and every such sum is exact, so the sum in any
+    other order, ascending bit order included, gives the same bits. Weights
+    of other than codes.bits entries, or a query of other than
+    words_per_item(codes.bits) words, are a ValueError.
     """
     wstar = _bit_weights(codes, wstar)
     nbytes = (codes.bits + 7) // 8
-    w = np.zeros(nbytes * 8)
-    w[: codes.bits] = wstar
-    w = w.reshape(nbytes, 8)
-    tables = np.zeros((nbytes, 256))
-    for b in range(8):
-        tables += _BYTE_BITS[:, b] * w[:, b:b + 1]
+    tables = np.pad(wstar, (0, 8 * nbytes - codes.bits)).reshape(nbytes, 8) @ _BYTE_BITS.T
     x = codes.words ^ PackedCodes(np.asarray(query_words, dtype=np.uint64)[None], codes.bits).words
     x = x.view(np.uint8)
     dist = np.take(tables[0], x[:, 0])
@@ -342,12 +338,12 @@ def weighted_topk(
     are equal), the heavy bits the rest. An item differing from the query in
     c heavy bits has a distance of at least LB[c], the sum of the c smallest
     heavy weights. c* is the smallest c with at least k items at or below
-    it; those items are scored, and their k-th distance T bounds the k-th
-    distance overall, so every item with LB[c] <= T is kept, and scored in
-    a second scan when that reaches past c*. The kept items, in ascending
-    id, go through topk, so ties at the cut resolve as in the full scan. LB
-    is a sum of grid weights, hence exact; off the grid a rounded bound
-    could drop an item the full scan would keep.
+    it, the k-th smallest count; those items are scored, and their k-th
+    distance T bounds the k-th distance overall, so every item with LB[c] <=
+    T is kept, and scored in a second scan when that reaches past c*. The
+    kept items, in ascending id, go through topk, so ties at the cut resolve
+    as in the full scan. LB is a sum of grid weights, hence exact; off the
+    grid a rounded bound could drop an item the full scan would keep.
     """
     wstar = _bit_weights(codes, wstar)
     if codes.n < BOUND_ITEMS:
@@ -364,17 +360,11 @@ def weighted_topk(
     x &= mask
     counts = np.bitwise_count(x).sum(axis=1, dtype=np.min_scalar_type(codes.bits))
     lower = np.concatenate(([0.0], np.cumsum(np.sort(wstar[heavy]))))
-    lo, hi = 0, len(lower) - 1  # every count is at most the heavy bits' number
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if np.count_nonzero(counts <= mid) >= k:
-            hi = mid
-        else:
-            lo = mid + 1
-    kept = np.flatnonzero(counts <= lo)  # lo is c*
+    c_star = kth_smallest(counts, k)
+    kept = np.flatnonzero(counts <= c_star)
     dist = weighted_hamming_scan(PackedCodes(codes.words[kept], codes.bits), query_words, wstar)
-    c_max = int(np.searchsorted(lower, np.partition(dist, k - 1)[k - 1], side="right")) - 1
-    if c_max > lo:
+    c_max = int(np.searchsorted(lower, kth_smallest(dist, k), side="right")) - 1
+    if c_max > c_star:
         kept = np.flatnonzero(counts <= c_max)
         dist = weighted_hamming_scan(PackedCodes(codes.words[kept], codes.bits),
                                      query_words, wstar)

@@ -1,6 +1,7 @@
 """Anchor selection, sparse kernel embeddings, similarity, neighbor profiles."""
 
 import hashlib
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -190,6 +191,18 @@ def test_anchor_model_rejects_values_the_query_path_cannot_square():
         _, d2 = nearest_anchors(edge, edge, 2)
         assert np.isfinite(d2).all() and d2.max() > 1e307
         assert np.isfinite(model.landmark_embeddings.values).all()
+
+
+def test_far_anchors_under_a_tiny_bandwidth_embed_without_a_warning():
+    # 1e150-scale anchors are within the magnitude bound and 2 bw^2 = 2e-300 is
+    # a normal double, so kernel_rows' quotient overflows to inf, on purpose
+    anchors = np.random.default_rng(3).normal(size=(20, 4)) * 1e150
+    model = AnchorModel(anchors=anchors, kernel_bandwidth=1e-150, s_nn=3, sigma=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = model.landmark_embeddings.values
+    np.testing.assert_array_equal(values.sum(axis=1), 1.0)
+    np.testing.assert_array_equal(model.landmark_embeddings.indices[:, 0], np.arange(20))
 
 
 def test_similarity_symmetric():

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvhash import hashing
-from mvhash.hashing import (FAMILIES, HashModel, encode, encode_one, hamming_scan, load_codes,
-                            load_model, pack_bits, save_codes, save_model, topk, train,
-                            unpack_bits, words_per_item)
+from mvhash.hashing import (FAMILIES, HashModel, encode, encode_one, hamming_scan,
+                            kth_smallest, load_codes, load_model, pack_bits, save_codes,
+                            save_model, topk, train, unpack_bits, words_per_item)
 
 
 def _random_bits(rng, n, bits):
@@ -289,6 +289,22 @@ def test_counting_topk_equals_a_full_stable_argsort(dtype, n, n_values, which, s
     dist = values[rng.integers(0, n_values, n)].astype(dtype)
     k = {"first": 1, "second-last": n - 1, "last": n}[which]
     np.testing.assert_array_equal(topk(dist, k), np.argsort(dist, kind="stable")[:k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([np.uint8, np.uint16, np.float64]), st.sampled_from([(), (1,), (5,)]),
+       st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_kth_smallest_is_the_sorted_rows_kth_entry(dtype, rows, n, n_values, seed):
+    # 1-d (rows ()) or 2-d values; few distinct values, so every k is tied
+    rng = np.random.default_rng(seed)
+    if dtype == np.float64:
+        pool = rng.normal(size=n_values) * 10.0 ** rng.integers(-300, 300, n_values)
+    else:
+        pool = rng.choice(np.iinfo(dtype).max + 1, size=n_values, replace=False)
+    values = pool[rng.integers(0, n_values, rows + (n,))].astype(dtype)
+    ordered = np.sort(values, axis=-1)
+    for k in range(1, n + 1):
+        np.testing.assert_array_equal(kth_smallest(values, k), ordered[..., k - 1])
 
 
 def test_hamming_scan_counts_in_the_narrowest_unsigned_dtype():

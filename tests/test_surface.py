@@ -90,16 +90,33 @@ def test_weighted_hamming_distance_has_one_kernel():
 def test_the_bound_and_the_counting_select_have_one_site_each():
     """The bound's size rule is read by weighted_topk alone, no pair table
     (np.add.outer) is left beside the byte tables, and the counting select
-    lives in topk alone, so there is still one weighted kernel and one top-k.
-    test_weighted_hamming_distance_has_one_kernel pins the byte tables."""
+    (a bisection on np.count_nonzero) lives in kth_smallest alone, with no
+    np.bincount in hashing.py, so there is still one weighted kernel and one
+    top-k. test_weighted_hamming_distance_has_one_kernel pins the byte tables."""
     reads = _src_sites(lambda node: isinstance(node, ast.Name) and node.id == "BOUND_ITEMS"
                        and isinstance(node.ctx, ast.Load))
     assert reads == {"qrank.py:weighted_topk"}
     outer = _src_sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "outer"
                        and isinstance(node.value, ast.Attribute) and node.value.attr == "add")
     assert outer == set()
-    assert _sites(SRC / "mvhash" / "hashing.py",
-                  lambda node: _names(node, "bincount")) == {"hashing.py:topk"}
+    assert _src_sites(lambda node: _names(node, "count_nonzero")) == {"hashing.py:kth_smallest"}
+    assert _sites(SRC / "mvhash" / "hashing.py", lambda node: _names(node, "bincount")) == set()
+
+
+def _min_along_an_axis(node) -> bool:
+    """A min or amin call given an axis, by keyword or as np.min(a, axis)."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("min", "amin")
+            and (any(kw.arg == "axis" for kw in node.keywords) or len(node.args) > 1))
+
+
+def test_every_kth_value_select_is_kth_smallest():
+    """np.partition (or argpartition) and the k = 1 row minimum are called
+    from hashing.kth_smallest alone, so every top-k and every anchor screen
+    finds its k-th smallest value one way."""
+    partitions = _src_sites(lambda node: _names(node, "partition") or _names(node, "argpartition"))
+    assert partitions == {"hashing.py:kth_smallest"}
+    assert _src_sites(_min_along_an_axis) == {"hashing.py:kth_smallest"}
 
 
 def _matrix_product(node) -> bool:
