@@ -208,21 +208,21 @@ def test_wrong_format_or_version_is_rejected(tmp_path):
         load_bundle(tmp_path / "bundle")
 
 
-# Builds a k-means/itq index, saves it and ranks every held-out query in all
-# three modes; prints the bundle's sha256 set and a digest of the result bytes
-# and of a block-path encode.
+# Builds a k-means/itq index, saves it, loads it back and ranks every held-out
+# query in all three modes through the loaded index; prints the bundle's sha256
+# set and a digest of the result bytes and of a block-path encode.
 _BUILD_AND_QUERY = """
 import hashlib, json, sys
 from pathlib import Path
 import numpy as np
-from mvhash import (QsrfParams, build_index, gen_synthetic, hamming_query, make_split,
-                    qrank_query, qsrf_search, save_bundle)
+from mvhash import (QsrfParams, build_index, gen_synthetic, hamming_query, load_bundle,
+                    make_split, qrank_query, qsrf_search, save_bundle)
 from mvhash.hashing import ENCODE_BLOCK, encode
 ds = gen_synthetic(n_clusters=4, per_cluster=150, n_views=2, dim=32, noise=0.8, seed=7)
 split = make_split(ds.n, n_train=200, n_query=40, seed=7)
-index = build_index(ds, split, bits=32, family="itq", anchor_method="kmeans", seed=7)
 out = Path(sys.argv[1])
-save_bundle(index, out)
+save_bundle(build_index(ds, split, bits=32, family="itq", anchor_method="kmeans", seed=7), out)
+index = load_bundle(out)
 digest = hashlib.sha256()
 for q in split.query:
     for table, view in zip(index.tables, ds.views):
