@@ -16,10 +16,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .binfile import BinaryReader
-from .hashing import HashModel, PackedCodes, encode, kth_smallest, read_codes, topk
+from .hashing import HashModel, PackedCodes, encode, kth_smallest, topk
 
 MAGIC_ANCHORS = b"MVHA"
-ANCHORS_VERSION = 2
+ANCHORS_VERSION = 3
 # entries per block of a points x anchors screen (nearest_anchors, and
 # fusion.candidate_embedding's candidates x kept anchors): a block (125 KiB)
 # stays below glibc's default 128 KiB mmap threshold, so it comes from the
@@ -52,8 +52,9 @@ class AnchorModel:
     landmark_embeddings, each anchor's own sparse embedding against the anchor
     set, depends on the anchors alone: it is derived on first use (the first
     query profile) and cached, never stored. anchor_codes are the anchors'
-    hash codes under the view's HashModel; they are attached at index build
-    time (None until then). An anchor value that is not finite or exceeds
+    hash codes under the view's HashModel, encode(hash_model, anchors); they
+    are not stored either: build_anchors(hash_model=) and load_bundle attach
+    them (None until then). An anchor value that is not finite or exceeds
     sqrt(float64 max / (4 (dim + 2))) in magnitude, a bandwidth that is not
     positive with 2 bw^2 a finite normal double, and a sigma that is not
     positive with sigma^2 one are a ValueError.
@@ -337,23 +338,16 @@ def query_neighbor_profile(model: AnchorModel, z_q: SparseRow, n_landmarks: int 
 
 
 def save_anchor_model(path: Union[str, Path], model: AnchorModel) -> None:
-    """Binary blob: header, anchors (<f8), anchor codes."""
-    if model.anchor_codes is None:
-        raise ValueError("anchor model has no codes attached; build the index first")
+    """Binary blob: header, then the anchors (<f8); the anchor codes are not stored."""
     with open(path, "wb") as fh:
         fh.write(MAGIC_ANCHORS)
         fh.write(struct.pack("<IIIIdd", ANCHORS_VERSION, model.k, model.dim, model.s_nn,
                              model.kernel_bandwidth, model.sigma))
         fh.write(np.ascontiguousarray(model.anchors, dtype="<f8").tobytes())
-        fh.write(struct.pack("<I", model.anchor_codes.bits))
-        fh.write(np.ascontiguousarray(model.anchor_codes.words, dtype="<u8").tobytes())
 
 
 def load_anchor_model(path: Union[str, Path]) -> AnchorModel:
     rd = BinaryReader(path, MAGIC_ANCHORS, "anchors", ANCHORS_VERSION)
     k, dim, s_nn, bandwidth, sigma = rd.header("<IIIdd")
-    anchors = rd.array("<f8", k, dim)
-    (bits,) = rd.header("<I")
-    codes = read_codes(rd, k, bits)
-    return rd.done(rd.make(AnchorModel, anchors=anchors, kernel_bandwidth=bandwidth, s_nn=s_nn,
-                           sigma=sigma, anchor_codes=codes))
+    return rd.done(rd.make(AnchorModel, anchors=rd.array("<f8", k, dim), kernel_bandwidth=bandwidth,
+                           s_nn=s_nn, sigma=sigma))

@@ -55,11 +55,6 @@ class SimilarityFactors:
     n_anchors: int
     inv_lam: np.ndarray
 
-    @property
-    def shape(self) -> tuple:
-        n = len(self.indices)
-        return (n, n)
-
     def tocsr(self) -> sp.csr_matrix:
         n, s_nn = self.indices.shape
         zmat = sp.csr_matrix((self.values.ravel(), self.indices.ravel(),

@@ -126,24 +126,16 @@ def _pca_directions(data: np.ndarray, bits: int, rng: np.random.Generator) -> np
     return basis[:, :bits].T.copy()
 
 
-def _itq_rotation(projected: np.ndarray, iters: int, rng: np.random.Generator):
-    """Alternating minimization of the binarization loss ||sign(VR) - VR||_F^2.
-
-    Returns (rotation, losses); losses has one entry per iteration, recorded
-    after the Procrustes step, and is non-increasing.
-    """
+def _itq_rotation(projected: np.ndarray, iters: int, rng: np.random.Generator) -> np.ndarray:
+    """The rotation R after iters steps of alternating minimization of the
+    binarization loss ||sign(VR) - VR||_F^2 (sign step, then Procrustes step)."""
     b = projected.shape[1]
-    r0, _ = np.linalg.qr(rng.normal(size=(b, b)))
-    rot = r0
-    v = projected @ rot
-    losses = []
+    rot, _ = np.linalg.qr(rng.normal(size=(b, b)))
     for _ in range(iters):
-        binary = np.where(v >= 0.0, 1.0, -1.0)
+        binary = np.where(projected @ rot >= 0.0, 1.0, -1.0)
         u, _, vt = np.linalg.svd(projected.T @ binary)
         rot = u @ vt
-        v = projected @ rot  # the loss's product is the next step's VR
-        losses.append(float(np.linalg.norm(binary - v) ** 2))
-    return rot, losses
+    return rot
 
 
 def train(family: str, data: np.ndarray, bits: int, seed: int, itq_iters: int = 50) -> HashModel:
@@ -169,7 +161,7 @@ def train(family: str, data: np.ndarray, bits: int, seed: int, itq_iters: int = 
             raise ValueError(f"{family} needs bits <= dim, got bits={bits} dim={dim}")
         projection = _pca_directions(data, bits, rng)
         if family == "itq":
-            rot, _ = _itq_rotation((data - mean) @ projection.T, itq_iters, rng)
+            rot = _itq_rotation((data - mean) @ projection.T, itq_iters, rng)
             projection = rot.T @ projection
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -263,17 +255,13 @@ def save_codes(path: Union[str, Path], codes: PackedCodes) -> None:
 
 
 def load_codes(path: Union[str, Path]) -> PackedCodes:
+    """A codes file; a set padding bit, which hamming_scan would count, is a
+    ValueError naming the file and the row."""
     rd = BinaryReader(path, MAGIC_CODES, "codes")
     n, bits = rd.header("<II")
-    return rd.done(read_codes(rd, n, bits))
-
-
-def read_codes(rd: BinaryReader, n: int, bits: int) -> PackedCodes:
-    """The next n items' words of a file; a set padding bit, which hamming_scan
-    would count, is a ValueError naming the file and the row."""
     codes = PackedCodes(words=rd.array("<u8", n, words_per_item(bits)), bits=bits)
     if bits % 64:
         bad = np.flatnonzero(codes.words[:, -1] >> np.uint64(bits % 64))
         if len(bad):
-            raise ValueError(f"{rd.path}: code row {bad[0]} sets padding bits past bit {bits}")
-    return codes
+            raise ValueError(f"{path}: code row {bad[0]} sets padding bits past bit {bits}")
+    return rd.done(codes)

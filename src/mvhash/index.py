@@ -2,8 +2,9 @@
 
 A bundle is a directory holding per-view artifacts (hash model, database
 codes, anchors, independence matrix) plus the split and a manifest.json that
-records file names, sha256 content hashes, and the build parameters. Builds
-are deterministic: the same data and seed reproduce byte-identical artifacts.
+records the view names, sha256 content hashes, and the build parameters. The
+file names follow from the view count alone (_layout). Builds are
+deterministic: the same data and seed reproduce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .qrank import HashTable, independence_matrix, load_independence, save_indep
 MAGIC_SPLIT = b"MVHS"
 MANIFEST_NAME = "manifest.json"
 BUNDLE_FORMAT = "mvhash-bundle"
-BUNDLE_VERSION = 2
-MANIFEST_KEYS = ("files", "views", "split", "bits", "family", "seed")
-VIEW_FILES = ("model", "codes", "anchors", "independence")
+BUNDLE_VERSION = 3
+MANIFEST_KEYS = ("files", "views", "bits", "family", "seed")
 
 
 @dataclass
@@ -111,6 +111,14 @@ def load_split(path: Union[str, Path]) -> DatasetSplit:
     return rd.done(rd.make(DatasetSplit, train=train, query=query, database=database))
 
 
+def _layout(n_views: int) -> tuple[list[str], list[dict[str, str]]]:
+    """A bundle's file names besides its manifest, split.bin first, and each
+    view's model, codes, anchors and independence ("indep") file names."""
+    views = [{kind: f"view{m}.{kind}.bin" for kind in ("model", "codes", "anchors", "indep")}
+             for m in range(n_views)]
+    return ["split.bin"] + [name for names in views for name in names.values()], views
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     h.update(path.read_bytes())
@@ -121,38 +129,21 @@ def save_bundle(index: MultiViewIndex, bundle_dir: Union[str, Path]) -> Path:
     """Write all artifacts plus manifest.json; returns the manifest path."""
     bundle_dir = Path(bundle_dir)
     bundle_dir.mkdir(parents=True, exist_ok=True)
-    files: dict[str, str] = {}
-
-    split_name = "split.bin"
-    save_split(bundle_dir / split_name, index.split)
-    files[split_name] = _sha256(bundle_dir / split_name)
-
-    views = []
-    for m, table in enumerate(index.tables):
-        names = {
-            "model": f"view{m}.model.bin",
-            "codes": f"view{m}.codes.bin",
-            "anchors": f"view{m}.anchors.bin",
-            "independence": f"view{m}.indep.bin",
-        }
-        save_model(bundle_dir / names["model"], table.hash_model)
-        save_codes(bundle_dir / names["codes"], table.codes)
-        save_anchor_model(bundle_dir / names["anchors"], table.anchor_model)
-        save_independence(bundle_dir / names["independence"], table.independence)
-        for f in names.values():
-            files[f] = _sha256(bundle_dir / f)
-        views.append({"name": table.name, "files": names})
-
+    names, view_names = _layout(index.n_views)
+    save_split(bundle_dir / names[0], index.split)
+    for table, files in zip(index.tables, view_names):
+        save_model(bundle_dir / files["model"], table.hash_model)
+        save_codes(bundle_dir / files["codes"], table.codes)
+        save_anchor_model(bundle_dir / files["anchors"], table.anchor_model)
+        save_independence(bundle_dir / files["indep"], table.independence)
     manifest = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
         "bits": index.bits,
         "family": index.family,
         "seed": index.seed,
-        "n_views": index.n_views,
-        "views": views,
-        "split": split_name,
-        "files": files,
+        "views": [table.name for table in index.tables],
+        "files": {name: _sha256(bundle_dir / name) for name in names},
         "params": index.params,
     }
     path = bundle_dir / MANIFEST_NAME
@@ -161,7 +152,12 @@ def save_bundle(index: MultiViewIndex, bundle_dir: Union[str, Path]) -> Path:
 
 
 def load_bundle(bundle_dir: Union[str, Path], verify: bool = True) -> MultiViewIndex:
-    """Load a bundle directory; verifies content hashes unless verify=False."""
+    """Load a bundle directory; verifies content hashes unless verify=False.
+
+    Only the layout's files are opened, and each must be a regular file (a
+    FIFO or a device would block or never end). Each view's anchor codes are
+    derived from its anchors and hash model, as build_anchors derives them.
+    """
     bundle_dir = Path(bundle_dir)
     manifest_path = bundle_dir / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -176,38 +172,34 @@ def load_bundle(bundle_dir: Union[str, Path], verify: bool = True) -> MultiViewI
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing:
         raise ValueError(f"{manifest_path}: missing {', '.join(missing)}")
-    if not (isinstance(manifest["views"], list) and isinstance(manifest["files"], dict)
-            and isinstance(manifest["split"], str)):
-        raise ValueError(f"{manifest_path}: views must be a list, files an object and "
-                         f"split a file name")
-    for m, view in enumerate(manifest["views"]):
-        names = view.get("files") if isinstance(view, dict) else None
-        if not (isinstance(names, dict) and all(isinstance(names.get(k), str) for k in VIEW_FILES)):
-            raise ValueError(f"{manifest_path}: view {m} needs a files object naming its "
-                             f"{', '.join(VIEW_FILES)} files")
+    views, hashes = manifest["views"], manifest["files"]
+    if not (isinstance(views, list) and all(isinstance(v, str) for v in views)
+            and isinstance(hashes, dict)):
+        raise ValueError(f"{manifest_path}: views must be a list of view names and files an object")
+    names, view_names = _layout(len(views))
+    for name in names:
+        if not (bundle_dir / name).is_file():
+            raise ValueError(f"{bundle_dir / name}: missing or not a regular file")
     if verify:
-        loaded = [manifest["split"]]
-        loaded += [view["files"][key] for view in manifest["views"] for key in VIEW_FILES]
-        unhashed = sorted(set(loaded) - set(manifest["files"]))
+        unhashed = [name for name in names if name not in hashes]
         if unhashed:
             raise ValueError(f"{manifest_path}: no content hash for {', '.join(unhashed)}")
-        for name, digest in manifest["files"].items():
-            actual = _sha256(bundle_dir / name)
-            if actual != digest:
+        for name in names:
+            if _sha256(bundle_dir / name) != hashes[name]:
                 raise ValueError(f"{bundle_dir}/{name}: content hash mismatch")
-    split = load_split(bundle_dir / manifest["split"])
+    split = load_split(bundle_dir / names[0])
     tables = []
-    for m, view in enumerate(manifest["views"]):
-        names = view["files"]
+    for m, (view, files) in enumerate(zip(views, view_names)):
         table = HashTable(
-            name=view.get("name", f"view{m}"),
-            hash_model=load_model(bundle_dir / names["model"]),
-            codes=load_codes(bundle_dir / names["codes"]),
+            name=view,
+            hash_model=load_model(bundle_dir / files["model"]),
+            codes=load_codes(bundle_dir / files["codes"]),
             db_ids=split.database.astype(np.int64),
-            anchor_model=load_anchor_model(bundle_dir / names["anchors"]),
-            independence=load_independence(bundle_dir / names["independence"]),
+            anchor_model=load_anchor_model(bundle_dir / files["anchors"]),
+            independence=load_independence(bundle_dir / files["indep"]),
         )
         _check_table(table, manifest["bits"], f"{manifest_path}: view {m}")
+        table.anchor_model.anchor_codes = encode(table.hash_model, table.anchor_model.anchors)
         tables.append(table)
     return MultiViewIndex(
         tables=tables,
@@ -224,7 +216,6 @@ def _check_table(table: HashTable, bits: int, where: str) -> None:
     for what, got, ref, want in (
         ("model bits", table.hash_model.bits, "manifest bits", bits),
         ("code bits", table.codes.bits, "manifest bits", bits),
-        ("anchor code bits", table.anchor_model.anchor_codes.bits, "manifest bits", bits),
         ("independence size", table.independence.a.shape[0], "manifest bits", bits),
         ("code rows", table.codes.n, "split database size", len(table.db_ids)),
         ("anchor dim", table.anchor_model.dim, "model dim", table.hash_model.dim),

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
 import struct
 import subprocess
@@ -113,7 +114,7 @@ def test_build_writes_manifest(capsys, tmp_path):
     manifest_path = _build(capsys, data, tmp_path / "bundle")
     manifest = json.loads(open(manifest_path).read())
     assert manifest["bits"] == 16
-    assert manifest["n_views"] == 2
+    assert len(manifest["views"]) == 2
     assert manifest["params"]["anchors"] == 25
 
 
@@ -127,7 +128,7 @@ def test_rebuild_produces_identical_manifests(capsys, tmp_path):
 def test_single_view_pipeline_works(capsys, tmp_path):
     data = _synth(capsys, tmp_path / "data", views=1)
     manifest_path = _build(capsys, data, tmp_path / "bundle")
-    assert json.loads(open(manifest_path).read())["n_views"] == 1
+    assert len(json.loads(open(manifest_path).read())["views"]) == 1
     qfiles = _query_files(data, tmp_path)
     code, out, _ = _run(capsys, [
         "query", "--bundle", str(tmp_path / "bundle"),
@@ -721,23 +722,19 @@ def test_malformed_manifest_is_an_error(capsys, tmp_path):
 
     manifest_path.write_text("[1, 2]")
     assert "not a JSON object" in _query_bundle(capsys, tmp_path / "bundle", qfile)
-    assert manifest["version"] == 2
-    manifest_path.write_text(json.dumps({**manifest, "version": 1}))
+    assert manifest["version"] == 3
     bundle = tmp_path / "bundle"
-    assert _query_bundle(capsys, bundle, qfile) == (
-        f"mvhash: error: bundle {bundle}: {bundle}: unsupported bundle version 1\n")
-    for key in ("files", "views", "split"):
+    for version in (1, 2):
+        manifest_path.write_text(json.dumps({**manifest, "version": version}))
+        assert _query_bundle(capsys, bundle, qfile) == (
+            f"mvhash: error: bundle {bundle}: {bundle}: unsupported bundle version {version}\n")
+    for key in ("files", "views"):
         manifest_path.write_text(json.dumps({k: v for k, v in manifest.items() if k != key}))
         assert f"missing {key}" in _query_bundle(capsys, tmp_path / "bundle", qfile)
-    # Every view entry must be an object whose files name all four view files.
-    for bad_view in (1, {"name": "view0"}, {"name": "view0", "files": []},
-                     {"name": "view0", "files": {k: v for k, v in
-                                                 manifest["views"][0]["files"].items()
-                                                 if k != "independence"}}):
-        views = [bad_view] + manifest["views"][1:]
-        manifest_path.write_text(json.dumps({**manifest, "views": views}))
-        err = _query_bundle(capsys, tmp_path / "bundle", qfile)
-        assert "manifest.json: view 0 needs a files object" in err
+    # views lists the view names; the file names follow from their count
+    manifest_path.write_text(json.dumps({**manifest, "views": [{"name": "view0"}, "view1"]}))
+    err = _query_bundle(capsys, tmp_path / "bundle", qfile)
+    assert "manifest.json: views must be a list of view names" in err
     # Every file the loader reads must carry a content hash.
     for name in ("split.bin", "view1.anchors.bin"):
         files = {k: v for k, v in manifest["files"].items() if k != name}
@@ -991,6 +988,34 @@ def test_bundle_files_must_agree_with_each_other(capsys, tmp_path):
             assert out == ""
             assert err.startswith("mvhash: error:")
             assert message in err
+        (bundle / name).write_bytes(blob)
+
+
+def test_bundle_file_that_is_not_a_regular_file_is_an_error(capsys, tmp_path):
+    # A FIFO blocks its reader until a writer opens it, so each query runs in
+    # a subprocess with a timeout: a regression fails instead of hanging. A
+    # missing file is reported the same way.
+    data = _synth(capsys, tmp_path / "data")
+    _build(capsys, data, tmp_path / "bundle")
+    qfile = _query_files(data, tmp_path)[0]
+    bundle = tmp_path / "bundle"
+    os.mkfifo(tmp_path / "fifo")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, make in (("view0.model.bin", os.mkfifo),
+                       ("view1.codes.bin", lambda path: path.symlink_to(tmp_path / "fifo")),
+                       ("view1.indep.bin", lambda path: None)):
+        blob = (bundle / name).read_bytes()
+        (bundle / name).unlink()
+        make(bundle / name)
+        proc = subprocess.run([sys.executable, "-m", "mvhash.cli", "query", "--bundle", str(bundle),
+                               "--queries", qfile], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"mvhash: error: bundle {bundle}: {bundle / name}: "
+                               "missing or not a regular file\n")
+        (bundle / name).unlink(missing_ok=True)
         (bundle / name).write_bytes(blob)
 
 

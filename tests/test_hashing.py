@@ -210,11 +210,16 @@ def test_itq_rotation_is_orthogonal():
 
 
 def test_itq_quantization_loss_non_increasing():
+    # the loss ||sign(VR) - VR||_F^2 of the rotation after each prefix of the
+    # same run: iters = 0..30 steps from the same seed
     from mvhash.hashing import _itq_rotation
     rng = np.random.default_rng(8)
     for trial in range(5):
         projected = rng.normal(size=(80, 12))
-        _, losses = _itq_rotation(projected, 30, np.random.default_rng(trial))
+        losses = []
+        for iters in range(31):
+            v = projected @ _itq_rotation(projected, iters, np.random.default_rng(trial))
+            losses.append(float(np.linalg.norm(np.where(v >= 0.0, 1.0, -1.0) - v) ** 2))
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-9)
 

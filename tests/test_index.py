@@ -136,6 +136,26 @@ def test_bundle_round_trip_preserves_rankings(tmp_path):
     np.testing.assert_array_equal(table_res_before.ids, table_res_after.ids)
     np.testing.assert_array_equal(table_res_before.distances,
                                   table_res_after.distances)
+    # the anchors files hold no codes: the loaded ones are derived, and equal the built ones
+    for built, loaded in zip(idx.tables, reloaded.tables):
+        assert built.anchor_model.anchor_codes.words.tobytes() == \
+            loaded.anchor_model.anchor_codes.words.tobytes()
+
+
+def test_manifest_files_beyond_the_layout_are_never_opened(tmp_path):
+    ds, split = _dataset(seed=6)
+    idx = build_index(ds, split, bits=16, family="lsh", anchors=30, s_nn=3, seed=6)
+    manifest_path = save_bundle(idx, tmp_path / "bundle")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"].update({"../absent.bin": "0" * 64, "/nonexistent/x.bin": "0" * 64})
+    manifest_path.write_text(json.dumps(manifest))
+    reloaded = load_bundle(tmp_path / "bundle")
+    qid = split.query[0]
+    params = QsrfParams(top_n=25, query=QueryParams(n_landmarks=10))
+    before = qsrf_search(idx, [v.data[qid] for v in ds.views], params)
+    after = qsrf_search(reloaded, [v.data[qid] for v in ds.views], params)
+    np.testing.assert_array_equal(before.ids, after.ids)
+    np.testing.assert_array_equal(before.scores, after.scores)
 
 
 def test_rebuild_is_deterministic(tmp_path):

@@ -47,6 +47,14 @@ def _names(node, name: str) -> bool:
             or (isinstance(node, ast.alias) and node.name == name))
 
 
+def test_bundle_file_names_are_spelled_in_one_function():
+    """index._layout alone names a bundle's .bin files; save_bundle and
+    load_bundle both take the names from it."""
+    spells = _src_sites(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and re.search(r"\.bin\b", node.value))
+    assert spells == {"index.py:_layout"}
+
+
 def test_unpackbits_is_called_from_one_function():
     assert _src_sites(lambda node: _names(node, "unpackbits")) == {"hashing.py:unpack_bits"}
 
