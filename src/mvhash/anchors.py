@@ -53,8 +53,8 @@ class AnchorModel:
     set, depends on the anchors alone: it is derived on first use (the first
     query profile) and cached, never stored. anchor_codes are the anchors'
     hash codes under the view's HashModel, encode(hash_model, anchors); they
-    are not stored either: build_anchors(hash_model=) and load_bundle attach
-    them (None until then). An anchor value that is not finite or exceeds
+    are not stored either: build_anchors(hash_model=) and the index's tables
+    attach them (None until then). An anchor value that is not finite or exceeds
     sqrt(float64 max / (4 (dim + 2))) in magnitude, a bandwidth that is not
     positive with 2 bw^2 a finite normal double, and a sigma that is not
     positive with sigma^2 one are a ValueError.

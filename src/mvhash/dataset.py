@@ -80,10 +80,11 @@ class MultiViewDataset:
 class DatasetSplit:
     """Disjoint query set plus train subset; database is everything not queried.
 
-    train may overlap database (training items stay searchable); queries are
-    excluded from the database. All three arrays hold global item ids, sorted
-    ascending; an array out of order or a query id in the database is a
-    ValueError.
+    Every train id is a database id (training items stay searchable, and a
+    table's independence matrix is derived from their database codes);
+    queries are excluded from the database. All three arrays hold global item
+    ids, sorted ascending; an array out of order, a query id in the database
+    or a train id outside it is a ValueError.
     """
 
     train: np.ndarray
@@ -94,11 +95,15 @@ class DatasetSplit:
         for name in ("train", "query", "database"):
             if (np.diff(getattr(self, name)) <= 0).any():
                 raise ValueError(f"{name} ids must be strictly ascending")
-        db, query = self.database, self.query
-        if len(db):  # both sorted: a query id in db is where searchsorted puts it
-            hit = db[np.minimum(np.searchsorted(db, query), len(db) - 1)] == query
-            if hit.any():
-                raise ValueError(f"query id {query[hit.argmax()]} is also a database id")
+        db, query, train = self.database, self.query, self.train
+        # all sorted: an id in db is where searchsorted puts it
+        query_in_db, train_in_db = (
+            db[np.minimum(np.searchsorted(db, ids), len(db) - 1)] == ids if len(db)
+            else np.zeros(len(ids), dtype=bool) for ids in (query, train))
+        if query_in_db.any():
+            raise ValueError(f"query id {query[query_in_db.argmax()]} is also a database id")
+        if not train_in_db.all():
+            raise ValueError(f"train id {train[train_in_db.argmin()]} is not a database id")
 
 
 def save_vectors(path: Union[str, Path], data: np.ndarray) -> None:

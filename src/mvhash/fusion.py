@@ -30,7 +30,8 @@ import scipy.sparse as sp
 
 from .anchors import SCREEN_ENTRIES, SparseEmbedding, kernel_rows, smallest_per_row
 from .hashing import PackedCodes, kth_smallest, unpack_bits
-from .qrank import HashTable, QueryParams, QRankResult, qrank_query, weighted_hamming_scan
+from .qrank import (HashTable, QueryParams, QRankResult, _check_top_n, qrank_query,
+                    weighted_hamming_scan)
 
 QUERY_VERTEX = -1
 # A measured residual that does not halve the last one has stagnated at rounding.
@@ -491,6 +492,7 @@ def fuse_rankings(
     """
     if len(rankings) != len(tables):
         raise ValueError(f"got {len(rankings)} rankings for {len(tables)} tables")
+    _check_top_n(params.top_n)
     n = params.top_n
     per_table = [replace(res, ids=res.ids[:n], local_ids=res.local_ids[:n],
                          distances=res.distances[:n]) for res in rankings]

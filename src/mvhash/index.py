@@ -1,9 +1,11 @@
 """Multi-view index: offline build over all views and the on-disk bundle format.
 
 A bundle is a directory holding per-view artifacts (hash model, database
-codes, anchors, independence matrix) plus the split and a manifest.json that
-records the view names, sha256 content hashes, and the build parameters. The
-file names follow from the view count alone (_layout). Builds are
+codes, anchors) plus the split and a manifest.json that records the view
+names, sha256 content hashes, each view's independence lambda and the build
+parameters. The file names follow from the view count alone (_layout). What
+a view derives from those parts, its anchors' codes and its bit-independence
+matrix, is derived in one function (_table) at build and at load. Builds are
 deterministic: the same data and seed reproduce byte-identical artifacts.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,17 +21,18 @@ from typing import Union
 
 import numpy as np
 
-from .anchors import build_anchors, load_anchor_model, save_anchor_model
+from .anchors import AnchorModel, build_anchors, load_anchor_model, save_anchor_model
 from .binfile import BinaryReader
 from .dataset import DatasetSplit, MultiViewDataset
-from .hashing import PackedCodes, encode, load_codes, load_model, save_codes, save_model, train
-from .qrank import HashTable, independence_matrix, load_independence, save_independence
+from .hashing import (FAMILIES, HashModel, PackedCodes, encode, load_codes, load_model, save_codes,
+                      save_model, train)
+from .qrank import HashTable, independence_matrix
 
 MAGIC_SPLIT = b"MVHS"
 MANIFEST_NAME = "manifest.json"
 BUNDLE_FORMAT = "mvhash-bundle"
-BUNDLE_VERSION = 3
-MANIFEST_KEYS = ("files", "views", "bits", "family", "seed")
+BUNDLE_VERSION = 4
+MANIFEST_KEYS = ("files", "views", "bits", "family", "seed", "lam", "params")
 
 
 @dataclass
@@ -66,35 +70,36 @@ def build_index(
     params: dict | None = None,
 ) -> MultiViewIndex:
     """Offline stage: per view, train hashes on the training rows, encode the
-    view once, pick anchors among the database rows, and compute the
-    bit-independence matrix on the training codes.
-
-    The database and training codes are row selections of the view's codes,
-    and random anchors gather the database rows they need by id, so beyond
-    the corpus a view holds one encode block and its codes, not a database
-    slice (k-means anchors gather the database rows once, as they use all).
+    view once, and pick anchors among the database rows; _table derives the
+    rest. The database codes are a row selection of the view's codes, and
+    random anchors gather the database rows they need by id, so beyond the
+    corpus a view holds one encode block and its codes, not a database slice
+    (k-means anchors gather the database rows once, as they use all).
     """
     tables = []
     for m, view in enumerate(dataset.views):
         model = train(family, view.data[split.train], bits, seed=_view_seed(seed, m, 1),
                       itq_iters=itq_iters)
         codes = encode(model, view.data)
-        anchor_model = build_anchors(
-            view.data, anchors, method=anchor_method, s_nn=s_nn,
-            seed=_view_seed(seed, m, 2), hash_model=model, rows=split.database,
-        )
-        indep = independence_matrix(PackedCodes(codes.words[split.train], bits), lam=lam)
-        db_codes = PackedCodes(codes.words[split.database], bits)
-        tables.append(HashTable(
-            name=view.name,
-            hash_model=model,
-            codes=db_codes,
-            db_ids=split.database.astype(np.int64),
-            anchor_model=anchor_model,
-            independence=indep,
-        ))
+        anchor_model = build_anchors(view.data, anchors, method=anchor_method, s_nn=s_nn,
+                                     seed=_view_seed(seed, m, 2), rows=split.database)
+        tables.append(_table(view.name, model, PackedCodes(codes.words[split.database], bits),
+                             anchor_model, split, lam))
     return MultiViewIndex(tables=tables, split=split, bits=bits, family=family,
                           seed=seed, params=params or {})
+
+
+def _table(name: str, model: HashModel, codes: PackedCodes, anchor_model: AnchorModel,
+           split: DatasetSplit, lam: float) -> HashTable:
+    """One view's table from its stored parts, the database codes among them.
+    The one place a view's derived parts are made, at build and at load: the
+    anchors' codes, and the bit-independence matrix on the codes of the
+    training rows, which are database rows (DatasetSplit checks it)."""
+    anchor_model.anchor_codes = encode(model, anchor_model.anchors)
+    train_codes = PackedCodes(codes.words[np.searchsorted(split.database, split.train)], codes.bits)
+    return HashTable(name=name, hash_model=model, codes=codes,
+                     db_ids=split.database.astype(np.int64), anchor_model=anchor_model,
+                     independence=independence_matrix(train_codes, lam))
 
 
 def save_split(path: Union[str, Path], split: DatasetSplit) -> None:
@@ -113,8 +118,8 @@ def load_split(path: Union[str, Path]) -> DatasetSplit:
 
 def _layout(n_views: int) -> tuple[list[str], list[dict[str, str]]]:
     """A bundle's file names besides its manifest, split.bin first, and each
-    view's model, codes, anchors and independence ("indep") file names."""
-    views = [{kind: f"view{m}.{kind}.bin" for kind in ("model", "codes", "anchors", "indep")}
+    view's model, codes and anchors file names."""
+    views = [{kind: f"view{m}.{kind}.bin" for kind in ("model", "codes", "anchors")}
              for m in range(n_views)]
     return ["split.bin"] + [name for names in views for name in names.values()], views
 
@@ -135,7 +140,6 @@ def save_bundle(index: MultiViewIndex, bundle_dir: Union[str, Path]) -> Path:
         save_model(bundle_dir / files["model"], table.hash_model)
         save_codes(bundle_dir / files["codes"], table.codes)
         save_anchor_model(bundle_dir / files["anchors"], table.anchor_model)
-        save_independence(bundle_dir / files["indep"], table.independence)
     manifest = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
@@ -143,6 +147,7 @@ def save_bundle(index: MultiViewIndex, bundle_dir: Union[str, Path]) -> Path:
         "family": index.family,
         "seed": index.seed,
         "views": [table.name for table in index.tables],
+        "lam": [table.independence.lam for table in index.tables],
         "files": {name: _sha256(bundle_dir / name) for name in names},
         "params": index.params,
     }
@@ -155,8 +160,8 @@ def load_bundle(bundle_dir: Union[str, Path], verify: bool = True) -> MultiViewI
     """Load a bundle directory; verifies content hashes unless verify=False.
 
     Only the layout's files are opened, and each must be a regular file (a
-    FIFO or a device would block or never end). Each view's anchor codes are
-    derived from its anchors and hash model, as build_anchors derives them.
+    FIFO or a device would block or never end). Each view's derived parts
+    come from _table, as at build.
     """
     bundle_dir = Path(bundle_dir)
     manifest_path = bundle_dir / MANIFEST_NAME
@@ -172,10 +177,20 @@ def load_bundle(bundle_dir: Union[str, Path], verify: bool = True) -> MultiViewI
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing:
         raise ValueError(f"{manifest_path}: missing {', '.join(missing)}")
-    views, hashes = manifest["views"], manifest["files"]
+    views, hashes, bits, lams = (manifest[key] for key in ("views", "files", "bits", "lam"))
     if not (isinstance(views, list) and all(isinstance(v, str) for v in views)
             and isinstance(hashes, dict)):
         raise ValueError(f"{manifest_path}: views must be a list of view names and files an object")
+    for ok, rule in (
+            (type(bits) is int and bits >= 1, "bits must be an integer >= 1"),
+            (type(manifest["seed"]) is int, "seed must be an integer"),
+            (manifest["family"] in FAMILIES, f"family must be one of {FAMILIES}"),
+            (isinstance(manifest["params"], dict), "params must be an object"),
+            (isinstance(lams, list) and len(lams) == len(views)
+             and all(type(lam) in (int, float) and 0 < lam < math.inf for lam in lams),
+             "lam must list one finite positive number per view")):
+        if not ok:
+            raise ValueError(f"{manifest_path}: {rule}")
     names, view_names = _layout(len(views))
     for name in names:
         if not (bundle_dir / name).is_file():
@@ -189,36 +204,25 @@ def load_bundle(bundle_dir: Union[str, Path], verify: bool = True) -> MultiViewI
                 raise ValueError(f"{bundle_dir}/{name}: content hash mismatch")
     split = load_split(bundle_dir / names[0])
     tables = []
-    for m, (view, files) in enumerate(zip(views, view_names)):
-        table = HashTable(
-            name=view,
-            hash_model=load_model(bundle_dir / files["model"]),
-            codes=load_codes(bundle_dir / files["codes"]),
-            db_ids=split.database.astype(np.int64),
-            anchor_model=load_anchor_model(bundle_dir / files["anchors"]),
-            independence=load_independence(bundle_dir / files["indep"]),
-        )
-        _check_table(table, manifest["bits"], f"{manifest_path}: view {m}")
-        table.anchor_model.anchor_codes = encode(table.hash_model, table.anchor_model.anchors)
-        tables.append(table)
-    return MultiViewIndex(
-        tables=tables,
-        split=split,
-        bits=manifest["bits"],
-        family=manifest["family"],
-        seed=manifest["seed"],
-        params=manifest.get("params", {}),
-    )
+    for m, (view, files, lam) in enumerate(zip(views, view_names, lams)):
+        model = load_model(bundle_dir / files["model"])
+        codes = load_codes(bundle_dir / files["codes"])
+        anchor_model = load_anchor_model(bundle_dir / files["anchors"])
+        _check_view(model, codes, anchor_model, len(split.database), bits,
+                    f"{manifest_path}: view {m}")
+        tables.append(_table(view, model, codes, anchor_model, split, lam))
+    return MultiViewIndex(tables=tables, split=split, bits=bits, family=manifest["family"],
+                          seed=manifest["seed"], params=manifest["params"])
 
 
-def _check_table(table: HashTable, bits: int, where: str) -> None:
+def _check_view(model: HashModel, codes: PackedCodes, anchor_model: AnchorModel, n_db: int,
+                bits: int, where: str) -> None:
     """One view's files must agree with each other, the split and the manifest."""
     for what, got, ref, want in (
-        ("model bits", table.hash_model.bits, "manifest bits", bits),
-        ("code bits", table.codes.bits, "manifest bits", bits),
-        ("independence size", table.independence.a.shape[0], "manifest bits", bits),
-        ("code rows", table.codes.n, "split database size", len(table.db_ids)),
-        ("anchor dim", table.anchor_model.dim, "model dim", table.hash_model.dim),
+        ("model bits", model.bits, "manifest bits", bits),
+        ("code bits", codes.bits, "manifest bits", bits),
+        ("code rows", codes.n, "split database size", n_db),
+        ("anchor dim", anchor_model.dim, "model dim", model.dim),
     ):
         if got != want:
             raise ValueError(f"{where}: {what} {got} does not match {ref} {want}")

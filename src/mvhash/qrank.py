@@ -1,7 +1,8 @@
 """Query-adaptive bit weighting over one hash table.
 
-Offline, each table stores an independence matrix built from pairwise mutual
-information between bits on the training split. Online, a query gets raw
+Each table holds an independence matrix built from pairwise mutual
+information between bits on the training rows' codes; index derives it at
+build and at load, never storing it. Online, a query gets raw
 per-bit weights from how well each bit preserves its anchor neighborhood,
 calibration redistributes mass away from redundant bits by maximizing a
 quadratic form on the simplex, and the database is ranked by weighted Hamming
@@ -10,20 +11,15 @@ distance under the calibrated weights.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from .anchors import AnchorModel, embed, query_neighbor_profile
-from .binfile import BinaryReader
 from .hashing import (HashModel, PackedCodes, encode_one, hamming_scan, kth_smallest, pack_bits,
                       topk, unpack_bits)
-
-MAGIC_INDEP = b"MVHI"
 
 MI_SMOOTHING = 0.25
 WEIGHT_FLOOR = 1e-12
@@ -36,25 +32,17 @@ _BYTE_BITS = unpack_bits(PackedCodes(np.arange(256, dtype=np.uint64)[:, None], 8
 
 @dataclass
 class IndependenceMatrix:
-    """Symmetric B x B matrix a_ij = exp(-lambda * MI(bit_i, bit_j)), zero diagonal.
-
-    A lambda that is not finite and positive, or an a that is not square and
-    symmetric with a zero diagonal and entries in [0, 1], is a ValueError.
+    """Symmetric B x B matrix a_ij = exp(-lambda * MI(bit_i, bit_j)), zero diagonal,
+    entries in [0, 1] (independence_matrix makes it so). A lambda that is not
+    finite and positive is a ValueError.
     """
 
     a: np.ndarray
     lam: float
 
     def __post_init__(self):
-        a = self.a
         if not 0 < self.lam < np.inf:
             raise ValueError(f"lambda must be finite and positive, got {self.lam!r}")
-        if not ((a >= 0) & (a <= 1)).all():  # NaN fails too
-            raise ValueError("independence entries must lie in [0, 1]")
-        if not (a.ndim == 2 and np.array_equal(a, a.T)):
-            raise ValueError("independence matrix must be square and symmetric")
-        if np.diagonal(a).any():
-            raise ValueError("independence matrix must have a zero diagonal")
 
 
 @dataclass
@@ -421,17 +409,3 @@ def hamming_query(table: HashTable, query: np.ndarray, top_n: int = 1000):
     dist = hamming_scan(table.codes, query_words)
     order = topk(dist, min(top_n, table.codes.n))
     return table.db_ids[order], dist[order].astype(np.int64)
-
-
-def save_independence(path: Union[str, Path], indep: IndependenceMatrix) -> None:
-    a = np.ascontiguousarray(indep.a, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_INDEP)
-        fh.write(struct.pack("<IId", 1, a.shape[0], indep.lam))
-        fh.write(a.tobytes())
-
-
-def load_independence(path: Union[str, Path]) -> IndependenceMatrix:
-    rd = BinaryReader(path, MAGIC_INDEP, "independence")
-    b, lam = rd.header("<Id")
-    return rd.done(rd.make(IndependenceMatrix, a=rd.array("<f8", b, b), lam=lam))

@@ -25,7 +25,6 @@ from mvhash import ground_truth, load_bundle, load_vectors, save_vectors
 from mvhash.dataset import load_labels, save_labels
 from mvhash.cli import _overrides, build_parser, load_config, main
 from mvhash.hashing import PackedCodes, load_codes, save_codes
-from mvhash.qrank import IndependenceMatrix, save_independence
 
 
 def _run(capsys, argv):
@@ -722,15 +721,29 @@ def test_malformed_manifest_is_an_error(capsys, tmp_path):
 
     manifest_path.write_text("[1, 2]")
     assert "not a JSON object" in _query_bundle(capsys, tmp_path / "bundle", qfile)
-    assert manifest["version"] == 3
+    assert manifest["version"] == 4
     bundle = tmp_path / "bundle"
-    for version in (1, 2):
+    for version in (1, 2, 3):
         manifest_path.write_text(json.dumps({**manifest, "version": version}))
         assert _query_bundle(capsys, bundle, qfile) == (
             f"mvhash: error: bundle {bundle}: {bundle}: unsupported bundle version {version}\n")
-    for key in ("files", "views"):
+    for key in ("files", "views", "lam"):
         manifest_path.write_text(json.dumps({k: v for k, v in manifest.items() if k != key}))
         assert f"missing {key}" in _query_bundle(capsys, tmp_path / "bundle", qfile)
+    # each build field has its type; lam lists the independence lambda of each view
+    assert manifest["lam"] == [1.0, 1.0]
+    for key, values, rule in (
+            ("bits", ["16", 0, 16.0, True], "bits must be an integer >= 1"),
+            ("seed", ["7", 7.0, None, False], "seed must be an integer"),
+            ("family", ["xyz", ["lsh"]], "family must be one of ('lsh', 'pcah', 'itq')"),
+            ("params", [[1], "x", None], "params must be an object"),
+            ("lam", [1.0, [1.0], [1.0, 1.0, 1.0], [1.0, 0], [1.0, -2.0], [1.0, "1"],
+                     [1.0, True], [1.0, float("inf")], [1.0, float("nan")]],
+             "lam must list one finite positive number per view")):
+        for value in values:
+            manifest_path.write_text(json.dumps({**manifest, key: value}))
+            assert _query_bundle(capsys, bundle, qfile) == (
+                f"mvhash: error: bundle {bundle}: {manifest_path}: {rule}\n")
     # views lists the view names; the file names follow from their count
     manifest_path.write_text(json.dumps({**manifest, "views": [{"name": "view0"}, "view1"]}))
     err = _query_bundle(capsys, tmp_path / "bundle", qfile)
@@ -749,8 +762,7 @@ def test_cut_or_padded_bundle_file_is_an_error(capsys, tmp_path):
     qfile = _query_files(data, tmp_path)[0]
     bundle = tmp_path / "bundle"
     manifest = json.loads((bundle / "manifest.json").read_text())
-    for name in ("split.bin", "view0.model.bin", "view0.codes.bin", "view0.anchors.bin",
-                 "view0.indep.bin"):
+    for name in ("split.bin", "view0.model.bin", "view0.codes.bin", "view0.anchors.bin"):
         blob = (bundle / name).read_bytes()
         for bad in (blob[:10], blob[:-1], blob + b"\0\0\0"):
             # A bundle whose hashes match its bytes: only the reader can catch it.
@@ -792,12 +804,12 @@ def test_bundle_with_bad_code_or_model_values_is_an_error(capsys, tmp_path):
         (bundle / name).write_bytes(blob)
 
 
-def test_bundle_with_bad_anchor_independence_or_split_values_is_an_error(capsys, tmp_path):
+def test_bundle_with_bad_anchor_or_split_values_is_an_error(capsys, tmp_path):
     # The anchors file: a 20-byte header, then bandwidth, sigma and the
     # anchors; an anchor value of 1e200 overflowed nearest_anchors' squares,
     # and a bandwidth of 1e-170 makes the 2 bw^2 that kernel_rows divides by
-    # underflow to 0. a[0, 1] follows a 20-byte header and a[0, 0]; the
-    # query ids follow the split's 20-byte header and its 40 train ids.
+    # underflow to 0. The query ids follow the split's 20-byte header and its
+    # 40 train ids; the last train id set to a query id is outside the database.
     data = _synth(capsys, tmp_path / "data")
     _build(capsys, data, tmp_path / "bundle")
     qfiles = _query_files(data, tmp_path)
@@ -805,17 +817,16 @@ def test_bundle_with_bad_anchor_independence_or_split_values_is_an_error(capsys,
     manifest = json.loads((bundle / "manifest.json").read_text())
     split = load_bundle(bundle).split
     db_id = int(split.database[split.database < split.query[1]].max())  # query ids stay sorted
+    query_id = int(split.query[split.query > split.train[-2]].min())  # train ids stay sorted
     for name, at, value, message in (
             ("view0.anchors.bin", 36, struct.pack("<d", 1e200),
              "anchor values must be finite and at most 2.11996e+153 in magnitude"),
             ("view0.anchors.bin", 20, struct.pack("<d", 1e-170),
              "bandwidth must be positive with 2 bw^2 a finite normal double, got 1e-170"),
-            ("view0.indep.bin", 28, struct.pack("<d", float("nan")),
-             "independence entries must lie in [0, 1]"),
-            ("view0.indep.bin", 28, struct.pack("<d", -5.0),
-             "independence entries must lie in [0, 1]"),
             ("split.bin", 20 + 4 * 40, struct.pack("<I", db_id),
-             f"query id {db_id} is also a database id")):
+             f"query id {db_id} is also a database id"),
+            ("split.bin", 20 + 4 * 39, struct.pack("<I", query_id),
+             f"train id {query_id} is not a database id")):
         blob = (bundle / name).read_bytes()
         _patch(bundle, manifest, name, at, value)
         with warnings.catch_warnings():
@@ -970,11 +981,8 @@ def test_bundle_files_must_agree_with_each_other(capsys, tmp_path):
     codes = load_codes(bundle / "view0.codes.bin")
     few_rows = tmp_path / "few.codes.bin"
     save_codes(few_rows, PackedCodes(words=codes.words[:5], bits=codes.bits))
-    small_indep = tmp_path / "small.indep.bin"
-    save_independence(small_indep, IndependenceMatrix(a=np.zeros((8, 8)), lam=1.0))
     for name, swap, message in (
         ("view0.codes.bin", few_rows, "view 0: code rows 5 does not match split database size 80"),
-        ("view0.indep.bin", small_indep, "view 0: independence size 8 does not match manifest bits 16"),
     ):
         blob = (bundle / name).read_bytes()
         # Valid files with matching hashes: only the cross-file checks can catch them.
@@ -1005,7 +1013,7 @@ def test_bundle_file_that_is_not_a_regular_file_is_an_error(capsys, tmp_path):
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for name, make in (("view0.model.bin", os.mkfifo),
                        ("view1.codes.bin", lambda path: path.symlink_to(tmp_path / "fifo")),
-                       ("view1.indep.bin", lambda path: None)):
+                       ("view1.anchors.bin", lambda path: None)):
         blob = (bundle / name).read_bytes()
         (bundle / name).unlink()
         make(bundle / name)

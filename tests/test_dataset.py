@@ -140,11 +140,13 @@ def test_split_must_be_ascending_with_queries_outside_the_database():
             (dict(query=[3, 1], database=[0, 2]), "query ids must be strictly ascending"),
             (dict(query=[1], database=[0, 0, 2]), "database ids must be strictly ascending"),
             (dict(query=[1], database=[0, 2], train=[2, 0]), "train ids must be strictly ascending"),
-            (dict(query=[1, 4], database=[0, 2, 4]), "query id 4 is also a database id")):
+            (dict(query=[1, 4], database=[0, 2, 4]), "query id 4 is also a database id"),
+            (dict(query=[1], database=[0, 2], train=[0, 3]), "train id 3 is not a database id"),
+            (dict(query=[1], database=[], train=[0]), "train id 0 is not a database id")):
         with pytest.raises(ValueError, match=message):
             _split_of(**kwargs)
     _split_of(query=[5, 7], database=[])  # no database to collide with
-    _split_of(query=[], database=[0, 2], train=[0, 2])  # train may overlap it
+    _split_of(query=[], database=[0, 2], train=[0, 2])  # train lies within it
 
 
 def test_ground_truth_single_label():

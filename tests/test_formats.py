@@ -14,7 +14,6 @@ from mvhash.anchors import build_anchors, load_anchor_model, save_anchor_model
 from mvhash.dataset import load_vectors, make_split, save_vectors
 from mvhash.hashing import FAMILIES, load_codes, load_model, pack_bits, save_codes, save_model, train
 from mvhash.index import load_split, save_split
-from mvhash.qrank import independence_matrix, load_independence, save_independence
 
 _rng = np.random.default_rng(0)
 _data = _rng.normal(size=(40, 6))
@@ -31,7 +30,6 @@ CASES = {
        for family in FAMILIES},
     **{f"codes-{bits}": (save_codes, load_codes, _codes(bits)) for bits in (1, 63, 64, 65, 128)},
     "anchors": (save_anchor_model, load_anchor_model, build_anchors(_data, 8, s_nn=3, seed=2)),
-    "independence": (save_independence, load_independence, independence_matrix(_codes(9), lam=0.7)),
     "split": (save_split, load_split, make_split(50, 10, 5, seed=4)),
 }
 

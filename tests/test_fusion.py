@@ -725,3 +725,14 @@ def test_fusing_deeper_rankings_equals_qsrf_search():
             assert got.distances.tobytes() == want.distances.tobytes()
     with pytest.raises(ValueError):
         fuse_rankings(idx.tables, deep[:1], params)
+
+
+def test_fuse_rankings_rejects_top_n_below_one():
+    # a negative top_n would cut the last candidates off each ranking, and 0 all of them
+    ds, split, idx = _two_view_index()
+    views = [v.data[split.query[0]] for v in ds.views]
+    deep = [qrank_query(t, x, QueryParams(n_landmarks=10), top_n=20)
+            for t, x in zip(idx.tables, views)]
+    for top_n in (0, -1):
+        with pytest.raises(ValueError, match=f"top_n must be >= 1, got {top_n}"):
+            fuse_rankings(idx.tables, deep, QsrfParams(top_n=top_n))

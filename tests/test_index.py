@@ -136,10 +136,16 @@ def test_bundle_round_trip_preserves_rankings(tmp_path):
     np.testing.assert_array_equal(table_res_before.ids, table_res_after.ids)
     np.testing.assert_array_equal(table_res_before.distances,
                                   table_res_after.distances)
-    # the anchors files hold no codes: the loaded ones are derived, and equal the built ones
+    # a bundle holds no anchor codes and no independence matrix: the loaded
+    # ones are derived, and equal the built ones
     for built, loaded in zip(idx.tables, reloaded.tables):
         assert built.anchor_model.anchor_codes.words.tobytes() == \
             loaded.anchor_model.anchor_codes.words.tobytes()
+        assert built.independence.a.tobytes() == loaded.independence.a.tobytes()
+        assert built.independence.lam == loaded.independence.lam
+    assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == [
+        "manifest.json", "split.bin", *(f"view{m}.{kind}.bin" for m in range(2)
+                                        for kind in ("anchors", "codes", "model"))]
 
 
 def test_manifest_files_beyond_the_layout_are_never_opened(tmp_path):

@@ -55,6 +55,18 @@ def test_bundle_file_names_are_spelled_in_one_function():
     assert spells == {"index.py:_layout"}
 
 
+def test_the_independence_matrix_is_derived_in_one_function_and_never_stored():
+    """index._table alone calls independence_matrix, at build and at load, and
+    no module spells an independence file's magic or layout kind."""
+    calls = _src_sites(lambda node: isinstance(node, ast.Call)
+                       and getattr(node.func, "id", getattr(node.func, "attr", None))
+                       == "independence_matrix")
+    assert calls == {"index.py:_table"}
+    spells = _src_sites(lambda node: (isinstance(node, ast.Name) and node.id == "MAGIC_INDEP")
+                        or (isinstance(node, ast.Constant) and node.value == "indep"))
+    assert spells == set()
+
+
 def test_unpackbits_is_called_from_one_function():
     assert _src_sites(lambda node: _names(node, "unpackbits")) == {"hashing.py:unpack_bits"}
 
