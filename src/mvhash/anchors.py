@@ -8,6 +8,7 @@ keep the s_nn nearest anchors with Gaussian kernel weights normalized to sum 1.
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -26,6 +27,8 @@ ANCHORS_VERSION = 3
 # heap whatever the process allocated before.
 SCREEN_ENTRIES = 16000
 KMEANS_ITERS = 25  # Lloyd updates at most, for method="kmeans"
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 SparseRow = tuple[np.ndarray, np.ndarray]  # (anchor indices, values), aligned
 
@@ -99,46 +102,142 @@ class AnchorModel:
         return self.anchors.shape[1]
 
 
+def _draw(weights: np.ndarray, total: float, rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """rng.choice(n, p=weights / total), or with a uniform p when total is 0,
+    by choice's own steps and without its checks on p: cdf = cumsum(p)
+    divided by its last entry, then searchsorted(cdf, rng.random(),
+    side="right"). It draws the same index and leaves rng in the same state.
+    cdf is an (n,) work buffer."""
+    if total > 0:
+        np.divide(weights, total, out=cdf)
+    else:
+        cdf.fill(1.0 / len(cdf))
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding and at most KMEANS_ITERS
-    updates; returns the k centers.
+    updates; returns the k centers. A RuntimeWarning says when the last
+    update still changed the assignment.
 
-    Seeding keeps d2, each point's direct-sum squared distance to its nearest
-    center so far, and scores a new center c exactly only on the points whose
-    screen passes: fl(S - delta) <= d2, with S and delta from _screen. S -
-    delta <= E (see nearest_anchors), and rounding is monotone, so a point
-    that fails has E > d2 and min(d2, E) = d2: d2 keeps the bits that scoring
-    every point gives. Lloyd's update sums each cluster's members in
-    ascending index order (np.add.at) and divides by its count, which for d
-    >= 2 is members.mean(axis=0) bit for bit; an empty cluster redraws a
-    random point, in ascending cluster order.
+    E is the direct sum ((x - c) ** 2).sum() of a (C-ordered) row. Seeding
+    keeps d2, each point's E to its nearest center so far, and that center's
+    id, and draws each new center as rng.choice(n, p=d2 / d2.sum()) does
+    (_draw). It scores the new center c only on the points whose screen
+    passes, S <= fl(d2 + delta): S is formed as _screen forms it, from one
+    matrix-vector product, and delta is _screen's margin with max |x|^2 for
+    max |a|^2, as every center is a data point. |S - E| <= delta (see
+    nearest_anchors), so a point with E <= d2 has S <= d2 + delta and, as
+    rounding is monotone, passes; a point that fails has E > d2. A center
+    replaces the nearest only when strictly nearer, so after seeding d2 and
+    the ids are nearest_anchors(data, centers, 1) bit for bit, ties to the
+    lower id included, and d2 holds the bits that scoring every point gives.
+
+    Lloyd's update sums a cluster's members in ascending row order
+    (np.bincount, as np.add.at does) and divides by the count, which for d
+    >= 2 is members.mean(axis=0) bit for bit. An empty cluster redraws a
+    random point at every update, in ascending cluster order. Only clusters
+    whose members changed are summed again; the others keep their bits. Let
+    M be the re-summed and the redrawn centers: every center outside M has
+    the same bits, and so the same E to every point, as at the last
+    assignment. There a point's center a, with E e0, was the (E, id)
+    minimum, so every center c outside M has (E_c, c) > (e0, a). If a is
+    outside M, or in M with new E e <= e0, then (e, a) beats every center
+    outside M, and the new minimum is the one over {a} and M (_reassign):
+    only the centers of M whose screen, as above, allows E <= e are scored.
+    A point whose center moved away (e > e0) is searched in full. So every
+    assignment is nearest_anchors(data, centers, 1)'s, ties included
+    (Elkan, "Using the triangle inequality to accelerate k-means", ICML
+    2003, skips pairs by bounds in the same way).
     """
+    data = np.ascontiguousarray(data)  # the row sums of an F-ordered array add in another order
     n, d = data.shape
+    xx = (data ** 2).sum(axis=1)
     centers = np.empty((k, d))
     centers[0] = data[rng.integers(n)]
     d2 = ((data - centers[0]) ** 2).sum(axis=1)
-    xx = (data ** 2).sum(axis=1)
+    assign = np.zeros(n, dtype=np.int64)
+    delta = _margin(xx, xx.max(), d)
+    limit = d2 + delta
+    screen, cdf = np.empty(n), np.empty(n)
     for c in range(1, k):
-        probs = d2 / d2.sum() if d2.sum() > 0 else np.full(n, 1.0 / n)
-        centers[c] = data[rng.choice(n, p=probs)]
-        center = centers[c:c + 1]
-        screen, delta = _screen(data, xx, center, (center ** 2).sum(axis=1))
-        near = np.flatnonzero(screen[:, 0] - delta <= d2)
-        d2[near] = np.minimum(d2[near], ((data[near] - center) ** 2).sum(axis=1))
-    assign = None
+        i = _draw(d2, d2.sum(), rng, cdf)
+        centers[c] = data[i]
+        np.matmul(data, centers[c], out=screen)
+        screen *= -2.0
+        screen += xx[i]
+        screen += xx
+        near = np.flatnonzero(screen <= limit)
+        e = ((data[near] - centers[c]) ** 2).sum(axis=1)
+        nearer = e < d2[near]
+        near, e = near[nearer], e[nearer]
+        d2[near], assign[near], limit[near] = e, c, e + delta[near]
+    changed = np.ones(k, dtype=bool)  # clusters whose members changed since the last update
     for _ in range(KMEANS_ITERS):
-        new_assign = nearest_anchors(data, centers, 1)[0][:, 0]
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
         counts = np.bincount(assign, minlength=k)
-        sums = np.zeros((k, d))
-        np.add.at(sums, assign, data)
-        filled = counts > 0
-        centers[filled] = sums[filled] / counts[filled, None]
-        for c in np.flatnonzero(~filled):
+        rows = np.flatnonzero(changed[assign])
+        sums = np.empty((k, d))
+        for j in range(d):
+            sums[:, j] = np.bincount(assign[rows], weights=data[rows, j], minlength=k)
+        moved = changed & (counts > 0)
+        centers[moved] = sums[moved] / counts[moved, None]
+        for c in np.flatnonzero(counts == 0):
             centers[c] = data[rng.integers(n)]
+        moved |= counts == 0
+        new_assign, d2 = _reassign(data, xx, centers, assign, d2, moved)
+        switched = np.flatnonzero(new_assign != assign)
+        if not len(switched):
+            break
+        changed = np.zeros(k, dtype=bool)
+        changed[assign[switched]] = changed[new_assign[switched]] = True
+        assign = new_assign
+    else:
+        warnings.warn(f"k-means assignment still changing after {KMEANS_ITERS} Lloyd updates; "
+                      "keeping the last centers", RuntimeWarning)
     return centers
+
+
+def _reassign(data, xx, centers, assign, best, moved):
+    """nearest_anchors(data, centers, 1) after a Lloyd update that kept the
+    bits of every center outside moved (a bool per center), from the last
+    assignment and its E, best (see _kmeans). Gathers of whole rows hold at
+    most SCREEN_ENTRIES entries, as the screen blocks do."""
+    n, d = data.shape
+    assign, e = assign.copy(), best.copy()
+    gather = max(1, SCREEN_ENTRIES // d)
+    own = np.flatnonzero(moved[assign])
+    for lo in range(0, len(own), gather):
+        r = own[lo:lo + gather]
+        e[r] = ((data[r] - centers[assign[r]]) ** 2).sum(axis=1)
+    far = e > best
+    movers = np.flatnonzero(moved)
+    cm = centers[movers]
+    mm = (cm ** 2).sum(axis=1)
+    step = max(1, SCREEN_ENTRIES // len(movers))
+    windows = []
+    for lo in range(0, n, step):
+        x = data[lo:lo + step]
+        screen, delta = _screen(x, xx[lo:lo + step], cm, mm)
+        top = np.where(far[lo:lo + step], -np.inf, e[lo:lo + step] + delta)
+        rows, cols = np.divmod(np.flatnonzero(screen <= top[:, None]), len(movers))
+        dist = ((x[rows] - cm[cols]) ** 2).sum(axis=1)
+        rows += lo
+        ids = movers[cols]
+        wins = (dist < e[rows]) | ((dist == e[rows]) & (ids < assign[rows]))
+        windows.append((rows[wins], ids[wins], dist[wins]))
+    # the winning entries, in row order, are one window in ascending (row, id) order
+    rows, ids, dist = (np.concatenate(part) for part in zip(*windows))
+    won, dense = np.unique(rows, return_inverse=True)
+    ids, dist = smallest_per_row(dense, ids, dist, 1)
+    assign[won], e[won] = ids[:, 0], dist[:, 0]
+    far = np.flatnonzero(far)
+    for lo in range(0, len(far), gather):
+        r = far[lo:lo + gather]
+        ids, dist = nearest_anchors(data[r], centers, 1)
+        assign[r], e[r] = ids[:, 0], dist[:, 0]
+    return assign, e
 
 
 def smallest_per_row(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, s: int):
@@ -175,13 +274,18 @@ def _screen(x: np.ndarray, xx: np.ndarray, anchors: np.ndarray, aa: np.ndarray):
     anchors' direct-sum squared norms. S is formed in place, as fl(fl(fl(-2
     x.a) + |a|^2) + |x|^2); the bound is derived in nearest_anchors.
     """
-    finfo = np.finfo(np.float64)
     screen = x @ anchors.T
     screen *= -2.0
     screen += aa
     screen += xx[:, None]
-    delta = 4.0 * (x.shape[1] + 2) * (finfo.eps * (xx + aa.max()) + finfo.tiny)
-    return screen, delta
+    return screen, _margin(xx, aa.max(), x.shape[1])
+
+
+def _margin(xx: np.ndarray, aa_max: float, d: int) -> np.ndarray:
+    """delta_x = 4 (d + 2) (eps (|x|^2 + max |a|^2) + tiny), nearest_anchors'
+    bound on |S - E| for rows of squared norms xx and anchors of squared
+    norms at most aa_max."""
+    return 4.0 * (d + 2) * (_EPS * (xx + aa_max) + _TINY)
 
 
 def nearest_anchors(points: np.ndarray, anchors: np.ndarray, s: int):
@@ -252,10 +356,12 @@ def build_anchors(
     data[rows] once, as it uses every row.
 
     method "random" samples rows without replacement; "kmeans" runs Lloyd's
-    with k-means++ seeding for at most KMEANS_ITERS iterations. The kernel
-    bandwidth is the mean distance from a sampled subset of points to their
-    s_nn-th nearest anchor; sigma is the largest embedding-space distance over a 1000-pair
-    sample, clamped to at least 1e-6. Pass hash_model to attach anchor codes.
+    with k-means++ seeding for at most KMEANS_ITERS iterations (see _kmeans).
+    The kernel bandwidth is the mean distance from a sampled subset of points
+    to their s_nn-th nearest anchor; sigma is the largest embedding-space
+    distance over a 1000-pair sample, clamped to at least 1e-6. One
+    nearest-anchor search serves both samples. Pass hash_model to attach
+    anchor codes.
     """
     data = np.asarray(data, dtype=np.float64)
     ids = np.arange(len(data)) if rows is None else np.asarray(rows)
@@ -273,18 +379,20 @@ def build_anchors(
         raise ValueError(f"unknown anchor method {method!r}")
 
     sample_idx = rng.choice(n, size=min(n, 1000), replace=False)
-    kth = nearest_anchors(data[ids[sample_idx]], anchors, s_nn)[1][:, s_nn - 1]
+    pair_idx = rng.integers(0, n, size=(1000, 2))
+    # one search serves the bandwidth sample and the sigma pairs: its rows are independent
+    pts = np.unique(np.concatenate((sample_idx, pair_idx.ravel())))
+    near, dist = nearest_anchors(data[ids[pts]], anchors, s_nn)
+    kth = dist[np.searchsorted(pts, sample_idx), s_nn - 1]
     bandwidth = float(np.sqrt(kth).mean()) or 1e-9  # 0 when every sample sits on s_nn anchors
 
-    pair_idx = rng.integers(0, n, size=(1000, 2))
-    pair_pts = np.unique(pair_idx)
-    emb = _embed_matrix(data[ids[pair_pts]], anchors, s_nn, bandwidth)
-    a, b = np.searchsorted(pair_pts, pair_idx).T
+    values = kernel_rows(dist, 2.0 * bandwidth * bandwidth)
+    a, b = np.searchsorted(pts, pair_idx).T
     # |z_a - z_b|^2 = |z_a|^2 + |z_b|^2 - 2 z_a.z_b, with the b rows scattered dense
     dense_b = np.zeros((len(b), k))
-    np.put_along_axis(dense_b, emb.indices[b], emb.values[b], axis=1)
-    dots = (emb.values[a] * np.take_along_axis(dense_b, emb.indices[a], axis=1)).sum(axis=1)
-    sqnorm = (emb.values ** 2).sum(axis=1)
+    np.put_along_axis(dense_b, near[b], values[b], axis=1)
+    dots = (values[a] * np.take_along_axis(dense_b, near[a], axis=1)).sum(axis=1)
+    sqnorm = (values ** 2).sum(axis=1)
     d2 = sqnorm[a] + sqnorm[b] - 2.0 * dots
     sigma = max(np.sqrt(max(d2.max(), 0.0)), 1e-6)
 

@@ -97,6 +97,78 @@ def test_kmeans_centres_are_pinned():
     assert h.hexdigest() == "3a38ef414bd91507e58aaa1c553fc3570c98b9ca3e25506ccf83d9e3c212bdb1"
 
 
+def test_kmeans_rescores_only_what_moved_and_matches_the_reference():
+    # 600 points, 60 centres, 18 assignments: after the first update most
+    # centres keep their bits, so each later assignment screens only the
+    # moved centres and searches in full only the points whose centre moved
+    # away. A fallback to full rescans screens n * k entries an assignment.
+    data = gen_synthetic(n_clusters=10, per_cluster=60, n_views=1, dim=8, noise=0.8,
+                         seed=5).views[0].data
+    n, k = len(data), 60
+    screened, assignments = [], []
+    screen, reassign = anchors_mod._screen, anchors_mod._reassign
+
+    def counted_screen(x, xx, anchors, aa):
+        screened.append(len(x) * len(anchors))
+        return screen(x, xx, anchors, aa)
+
+    def counted_reassign(*args):
+        assignments.append(1)
+        return reassign(*args)
+
+    with mock.patch.object(anchors_mod, "_screen", counted_screen), \
+            mock.patch.object(anchors_mod, "_reassign", counted_reassign):
+        got = anchors_mod._kmeans(data, k, np.random.default_rng(3))
+    assert got.tobytes() == kmeans_reference(data, k, np.random.default_rng(3)).tobytes()
+    assert len(assignments) >= 10
+    assert sum(screened) < 0.5 * n * k * len(assignments)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 60), zero_frac=st.floats(0, 1), single=st.booleans(),
+       scale=st.sampled_from([1.0, 1e300, 1e-300, 1e-310, 5e-324]),
+       step_ulps=st.none() | st.integers(-3, 3), seed=st.integers(0, 2**32 - 1))
+def test_seeding_draw_is_generator_choice(n, zero_frac, single, scale, step_ulps, seed):
+    # The seeding copies Generator.choice(n, p=...)'s weighted draw; a NumPy
+    # release that changes choice's algorithm fails here. Weights hold zeros,
+    # a single nonzero entry, subnormal values (scale < 2^-1022) or none at
+    # all. With step_ulps, the first cdf step lies within a few ulps of the
+    # uniform the draw consumes, so the rounding of the cumsum, of the
+    # normalization and the side of the search decide the index.
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n) * scale
+    weights[rng.random(n) < zero_frac] = 0.0
+    if single:
+        weights[np.arange(n) != rng.integers(n)] = 0.0
+    if step_ulps is not None:
+        u = np.random.default_rng(seed + 1).random()
+        weights = np.array([u, 1.0 - u]) * scale
+        weights[0] += step_ulps * np.spacing(weights[0])
+    n, total = len(weights), weights.sum()
+    probs = weights / total if total > 0 else np.full(n, 1.0 / n)
+    want_rng, got_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    want = want_rng.choice(n, p=probs)
+    assert anchors_mod._draw(weights, total, got_rng, np.empty(n)) == want
+    assert got_rng.random() == want_rng.random()
+
+
+def test_kmeans_warns_when_it_stops_at_the_update_cap():
+    # 4 distinct points for 10 centres: the empty clusters redraw at every
+    # update and keep taking points from higher ids, so the assignment still
+    # changes after KMEANS_ITERS updates. Well separated clusters converge
+    # without a warning.
+    data = gen_synthetic(n_clusters=4, per_cluster=40, n_views=1, dim=6, noise=0.0,
+                         seed=5).views[0].data
+    with pytest.warns(RuntimeWarning, match=f"still changing after {anchors_mod.KMEANS_ITERS} "
+                                            "Lloyd updates"):
+        build_anchors(data, 10, method="kmeans", s_nn=3, seed=9)
+    centers = np.array([[100.0, 0.0], [-100.0, 0.0], [0.0, 100.0]])
+    data = centers[np.repeat(np.arange(3), 50)] + np.random.default_rng(3).normal(size=(150, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_anchors(data, 3, method="kmeans", s_nn=1, seed=4)
+
+
 def test_embedding_rows_probability_with_exact_support():
     rng = np.random.default_rng(4)
     data = rng.normal(size=(300, 10))
